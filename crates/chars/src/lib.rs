@@ -69,9 +69,11 @@ pub struct Measurements {
 
 /// JTL chain length used by the JTL testbench.
 const JTL_STAGES: usize = 8;
-/// Shift-register frequency-bisection bounds, GHz.
-const SR_BISECT_LO_GHZ: f64 = 5.0;
-const SR_BISECT_HI_GHZ: f64 = 50.0;
+/// Shift-register bisection bounds on the clock period, ps — passed as
+/// `max_shift_frequency`'s `lo_ps`/`hi_ps`, so the search covers
+/// 20–200 GHz.
+const SR_BISECT_LO_PS: f64 = 5.0;
+const SR_BISECT_HI_PS: f64 = 50.0;
 
 /// Bit-exact fingerprint of every input feeding the testbenches: the
 /// three cell parameter sets (as `f64::to_bits`) plus the testbench
@@ -104,8 +106,8 @@ fn measure_key(jtl: &JtlParams, dff: &DffParams, and: &AndParams) -> MeasureKey 
         and.pulse_amplitude.to_bits(),
         and.clock_amplitude.to_bits(),
         JTL_STAGES as u64,
-        SR_BISECT_LO_GHZ.to_bits(),
-        SR_BISECT_HI_GHZ.to_bits(),
+        SR_BISECT_LO_PS.to_bits(),
+        SR_BISECT_HI_PS.to_bits(),
     ]
 }
 
@@ -179,8 +181,8 @@ fn dff_bench_key(p: &DffParams) -> DffKey {
         p.bias_store.to_bits(),
         p.bias_out.to_bits(),
         p.pulse_amplitude.to_bits(),
-        SR_BISECT_LO_GHZ.to_bits(),
-        SR_BISECT_HI_GHZ.to_bits(),
+        SR_BISECT_LO_PS.to_bits(),
+        SR_BISECT_HI_PS.to_bits(),
     ]
 }
 
@@ -243,7 +245,7 @@ fn dff_measurements(p: &DffParams) -> Result<DffMeas, SimError> {
     let m = DffMeas {
         dff_delay_ps: dff_clock_to_q(p)? * 1e12,
         dff_energy_aj: dff_cycle_energy(p)? * 1e18,
-        sr_max_ghz: max_shift_frequency(p, SR_BISECT_LO_GHZ, SR_BISECT_HI_GHZ)? / 1e9,
+        sr_max_ghz: max_shift_frequency(p, SR_BISECT_LO_PS, SR_BISECT_HI_PS)? / 1e9,
     };
     let mut cache = DFF_BENCH_CACHE.write();
     if !cache.iter().any(|(k, _)| *k == key) {
@@ -297,13 +299,16 @@ pub fn measure_cache_stats() -> (u64, u64) {
     (hits.get(), misses.get())
 }
 
-/// Drop all cached measurements (the assembled-measurement memo and
-/// every per-testbench memo) and reset the hit/miss counters.
+/// Drop all cached measurements (the assembled-measurement memo, every
+/// per-testbench memo and the `jjsim::extract` transient memo beneath
+/// them) and reset the hit/miss counters, so the next measurement runs
+/// its transients again.
 pub fn clear_measure_cache() {
     MEASURE_CACHE.write().clear();
     JTL_BENCH_CACHE.write().clear();
     DFF_BENCH_CACHE.write().clear();
     AND_BENCH_CACHE.write().clear();
+    jjsim::extract::clear_extract_cache();
     let (hits, misses) = cache_counters();
     hits.reset();
     misses.reset();
@@ -450,7 +455,7 @@ fn prefill_dff_benches(ps: &[&DffParams]) -> Result<(), SimError> {
     // transient load.
     let mut srs = Vec::with_capacity(missing.len());
     for p in &missing {
-        srs.push(max_shift_frequency(p, SR_BISECT_LO_GHZ, SR_BISECT_HI_GHZ)? / 1e9);
+        srs.push(max_shift_frequency(p, SR_BISECT_LO_PS, SR_BISECT_HI_PS)? / 1e9);
     }
     let mut cache = DFF_BENCH_CACHE.write();
     for (((key, delay), energy), sr) in keys.into_iter().zip(delays).zip(energies).zip(srs) {

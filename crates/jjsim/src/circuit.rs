@@ -260,6 +260,37 @@ impl Circuit {
         }
         Ok(())
     }
+
+    /// Bit-exact fingerprint of the netlist: the node count, then each
+    /// element family's length followed by every element's terminals
+    /// and value bits (`JjParams` for junctions), then every source's
+    /// terminals and waveform parameters. Two circuits with equal
+    /// fingerprints solve bit-identically under the same options,
+    /// horizon and relaxation level.
+    pub(crate) fn fingerprint(&self) -> Vec<u64> {
+        let mut fp = vec![self.node_count as u64, self.jjs.len() as u64];
+        for j in &self.jjs {
+            fp.extend([
+                j.a as u64,
+                j.b as u64,
+                j.p.ic.to_bits(),
+                j.p.r.to_bits(),
+                j.p.c.to_bits(),
+            ]);
+        }
+        for family in [&self.inductors, &self.resistors, &self.capacitors] {
+            fp.push(family.len() as u64);
+            for e in family {
+                fp.extend([e.a as u64, e.b as u64, e.value.to_bits()]);
+            }
+        }
+        fp.push(self.sources.len() as u64);
+        for s in &self.sources {
+            fp.extend([s.into as u64, s.from as u64]);
+            s.waveform.fingerprint_into(&mut fp);
+        }
+        fp
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,13 @@
 //! cell-library numbers (delays, maximum clock rates, switching
 //! energies), mirroring the paper's use of JSIM in §IV-A.1.
 
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
 use crate::solver::{SimOptions, Solver};
 use crate::stdlib::{
     clocked_and, dff, jtl_chain, shift_register, splitter, AndParams, DffParams, JtlParams,
 };
-use crate::SimError;
+use crate::{SimError, SimResult};
 
 /// Measured characteristics of a simulated cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,18 +19,91 @@ pub struct Extraction {
     pub energy_j: f64,
 }
 
-fn run(c: crate::Circuit, t_end: f64) -> Result<crate::SimResult, SimError> {
+// ------------------------------------------------------ testbench memo
+
+/// Bit-exact key of one testbench transient: the circuit's
+/// fingerprint, then the horizon's bits and the ambient solver
+/// relaxation level (a relaxed retry solves with different adaptive
+/// bounds). The solver options are always [`SimOptions::adaptive`], so
+/// they need no slot.
+type RunKey = Vec<u64>;
+
+/// Process-wide memo of completed scalar testbench transients. Fig.
+/// 7(c), Fig. 13 and `sfq_chars` characterization solve the same
+/// default-parameter testbenches, and the clock-to-Q/cycle-energy pairs
+/// solve one circuit each; all of them meet here, so each distinct
+/// transient runs once per process. Equal keys mean bit-identical
+/// runs, so a hit can never change a result. A hit does no solver
+/// work, so it neither polls nor spends an ambient `sfq_guard` budget.
+/// Errors are never stored. Cleared wholesale if it ever grows past a
+/// bound no legitimate characterization reaches.
+static EXTRACT_CACHE: Mutex<Vec<(RunKey, SimResult)>> = Mutex::new(Vec::new());
+const EXTRACT_CACHE_CAP: usize = 1024;
+
+/// Lock the transient memo, recovering from poisoning: a solve that
+/// panicked on another thread never holds the lock across its panic,
+/// so the stored entries stay consistent.
+fn extract_cache() -> MutexGuard<'static, Vec<(RunKey, SimResult)>> {
+    EXTRACT_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Always-on `jjsim.extract.cache_hit` / `.cache_miss` counters: they
+/// record whether or not `SUPERNPU_METRICS` is set, and every miss
+/// goes to the solver.
+fn cache_counters() -> (&'static sfq_obs::Counter, &'static sfq_obs::Counter) {
+    static C: OnceLock<(&'static sfq_obs::Counter, &'static sfq_obs::Counter)> = OnceLock::new();
+    *C.get_or_init(|| {
+        (
+            sfq_obs::counter("jjsim.extract.cache_hit"),
+            sfq_obs::counter("jjsim.extract.cache_miss"),
+        )
+    })
+}
+
+/// Drop every memoized testbench transient and reset the
+/// `jjsim.extract.cache_hit` / `.cache_miss` counters, so the next
+/// extraction runs the solver again. `sfq_chars::clear_measure_cache`
+/// calls this; normal code never needs to (transients are
+/// deterministic for a given build).
+pub fn clear_extract_cache() {
+    extract_cache().clear();
+    let (hits, misses) = cache_counters();
+    hits.reset();
+    misses.reset();
+}
+
+/// Solve one testbench, through the memo. Every scalar extraction
+/// below and every [`max_shift_frequency`] trial goes through here;
+/// the lane-batched `_many` variants do not.
+fn run(c: crate::Circuit, t_end: f64) -> Result<SimResult, SimError> {
+    let mut key = c.fingerprint();
+    key.extend([t_end.to_bits(), u64::from(sfq_guard::relax_level())]);
+    let (hits, misses) = cache_counters();
+    if let Some((_, out)) = extract_cache().iter().find(|(k, _)| *k == key) {
+        hits.inc();
+        return Ok(out.clone());
+    }
+    misses.inc();
     // Extraction cares about pulse counts, pulse times and dissipated
     // energies — exactly what the adaptive controller preserves (same
     // counts, sub-0.5 ps times) while cutting step counts several-fold
     // on these mostly-quiescent testbenches. This is the hot path
     // under `chars::measure` and everything built on it.
-    Solver::new(c, SimOptions::adaptive())?.try_run(t_end)
+    let out = Solver::new(c, SimOptions::adaptive())?.try_run(t_end)?;
+    let mut cache = extract_cache();
+    if cache.len() >= EXTRACT_CACHE_CAP {
+        cache.clear();
+    }
+    if !cache.iter().any(|(k, _)| *k == key) {
+        cache.push((key, out.clone()));
+    }
+    Ok(out)
 }
 
 /// Per-stage delay and per-event switching energy of a JTL, measured
-/// on an `n`-stage chain (interior stages only, so launch transients
-/// don't bias the estimate).
+/// on an `n`-stage chain: the delay is the first pulse's flight from
+/// stage 0 to stage `n − 1` divided by the `n − 1` hops, the energy is
+/// the whole chain's dissipation divided by `n`.
 ///
 /// # Errors
 ///
@@ -39,7 +114,7 @@ fn run(c: crate::Circuit, t_end: f64) -> Result<crate::SimResult, SimError> {
 ///
 /// Panics if `n < 3`.
 pub fn jtl_characteristics(n: usize, p: &JtlParams) -> Result<Extraction, SimError> {
-    assert!(n >= 3, "need at least 3 stages to measure interior delay");
+    assert!(n >= 3, "need at least 3 stages");
     let (c, stages) = jtl_chain(n, p);
     let out = run(c, p.input_time + 40e-12 * n as f64)?;
     let t_first = out.pulse_times(stages[0]).first().copied();
@@ -156,7 +231,7 @@ pub fn dff_cycle_energy(p: &DffParams) -> Result<f64, SimError> {
 ///
 /// Panics if `n < 3`.
 pub fn jtl_characteristics_many(n: usize, ps: &[JtlParams]) -> Result<Vec<Extraction>, SimError> {
-    assert!(n >= 3, "need at least 3 stages to measure interior delay");
+    assert!(n >= 3, "need at least 3 stages");
     if ps.is_empty() {
         return Ok(Vec::new());
     }

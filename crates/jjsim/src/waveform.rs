@@ -133,6 +133,33 @@ impl Waveform {
         }
     }
 
+    /// Append a bit-exact fingerprint of the waveform to `fp`: a
+    /// variant tag, then every parameter's `f64::to_bits` (a train
+    /// leads with its pulse count).
+    pub(crate) fn fingerprint_into(&self, fp: &mut Vec<u64>) {
+        match self {
+            Waveform::Dc(a) => fp.extend([0, a.to_bits()]),
+            Waveform::Gaussian {
+                t0,
+                sigma,
+                amplitude,
+            } => fp.extend([1, t0.to_bits(), sigma.to_bits(), amplitude.to_bits()]),
+            Waveform::Train {
+                times,
+                sigma,
+                amplitude,
+            } => {
+                fp.extend([2, times.len() as u64, sigma.to_bits(), amplitude.to_bits()]);
+                fp.extend(times.iter().map(|t| t.to_bits()));
+            }
+            Waveform::Ramp {
+                t0,
+                rise,
+                amplitude,
+            } => fp.extend([3, t0.to_bits(), rise.to_bits(), amplitude.to_bits()]),
+        }
+    }
+
     /// A standard SFQ trigger pulse at `t0`: 1 ps sigma, amplitude in
     /// amperes chosen by the caller (usually ≈0.8·I_c of the target
     /// junction).

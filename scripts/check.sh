@@ -103,6 +103,22 @@ echo "== trace example end-to-end =="
 # re-parses with every required field and track family present.
 SUPERNPU_TRACE="$tmp/trace.json" cargo run --release --example trace
 
+echo "== end-to-end output check (bench_e2e at its golden seed) =="
+# Whole-output conformance: the end-to-end benchmark digests every
+# simulated statistic of its passes and compares them with the golden
+# records committed in bench_e2e/golden/ (paper: all 20 run_all
+# artifacts; dse: the estimator and npusim path). Seed 1 is the golden
+# seed and --seconds 0 runs only the minimum pass count. The benchmark
+# exits 0 either way, so gate on its last line, a JSON summary.
+for workload in paper dse; do
+    summary="$(cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 | tail -n 1)"
+    if ! grep -Eq '"correct": true, .*"failed": 0,' <<<"$summary"; then
+        echo "bench_e2e $workload: output check failed: $summary" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
