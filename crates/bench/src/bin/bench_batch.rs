@@ -1,8 +1,8 @@
 //! Wall-clock benchmark of lane-batched transient solving: time the
 //! scalar path (`SUPERNPU_LANES`-equivalent width 1) against the
-//! batched path (width [`jjsim::LANES`]) on the Monte-Carlo yield and
-//! margin-probing workloads, verify the outcomes are identical, and
-//! write the measurements to `BENCH_batch.json`.
+//! batched path (width [`jjsim::LANES`]) on the Monte-Carlo yield
+//! workload — the one consumer of lane batching — verify the outcomes
+//! are identical, and write the measurements to `BENCH_batch.json`.
 //!
 //! Unlike the sweep bench, the speedup here is SIMD within one core —
 //! lanes, not threads — so the worker pool is pinned to one thread for
@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use jjsim::stdlib::{jtl_chain, JtlParams};
-use jjsim::{margins, BatchedTransient, SimOptions, Solver};
+use jjsim::{BatchedTransient, SimOptions, Solver};
 use serde_json::Value;
 use sfq_faults::{run_outcomes, Cell, McOptions, Outcome};
 use supernpu_bench::report::{die, write_report};
@@ -166,7 +166,7 @@ fn main() {
     };
     supernpu_bench::header(
         "BENCH batch",
-        "scalar-vs-lane-batched wall clock of the MC yield and margin workloads",
+        "scalar-vs-lane-batched wall clock of the MC yield workload",
     );
     // One worker thread: the measured speedup must come from lanes,
     // not from the thread pool hiding scalar latency.
@@ -180,25 +180,11 @@ fn main() {
     };
     let yield_wl = bench("yield_200", reps, !smoke, &mut yield_run);
 
-    let mut margins_run = || {
-        margins::clear_probe_cache();
-        let jtl =
-            margins::jtl_bias_margin().unwrap_or_else(|e| die(format!("jtl margin failed: {e}")));
-        let dff =
-            margins::dff_bias_margin().unwrap_or_else(|e| die(format!("dff margin failed: {e}")));
-        [
-            jtl.low.to_bits(),
-            jtl.high.to_bits(),
-            dff.low.to_bits(),
-            dff.high.to_bits(),
-        ]
-    };
-    let margins_wl = bench("margins", reps, false, &mut margins_run);
     sfq_par::clear_threads();
 
     let eq = equivalence(if smoke { 10 } else { 40 });
 
-    let workloads = [&yield_wl, &margins_wl];
+    let workloads = [&yield_wl];
     let rows: Vec<Value> = workloads
         .iter()
         .map(|w| {

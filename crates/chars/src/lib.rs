@@ -27,9 +27,8 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use jjsim::extract::{
-    and_clock_to_q, and_clock_to_q_many, and_cycle_energy, and_cycle_energy_many, dff_clock_to_q,
-    dff_clock_to_q_many, dff_cycle_energy, dff_cycle_energy_many, jtl_characteristics,
-    jtl_characteristics_many, max_shift_frequency, splitter_delay, splitter_delay_many,
+    and_clock_to_q, and_cycle_energy, dff_clock_to_q, dff_cycle_energy, jtl_characteristics,
+    max_shift_frequency, splitter_delay,
 };
 use jjsim::stdlib::{AndParams, DffParams, JtlParams};
 use jjsim::SimError;
@@ -391,152 +390,6 @@ pub fn measure_with(
     Ok(m)
 }
 
-/// Prefill one family's bench memo from lane-batched extractions.
-/// Dedups the requested parameter sets against the memo (and within
-/// the request) so each distinct point runs its transients exactly
-/// once, batched [`jjsim::LANES`]-wide.
-fn prefill_jtl_benches(ps: &[&JtlParams]) -> Result<(), SimError> {
-    let mut missing: Vec<JtlParams> = Vec::new();
-    let mut keys: Vec<JtlKey> = Vec::new();
-    {
-        let cache = JTL_BENCH_CACHE.read();
-        for p in ps {
-            let key = jtl_bench_key(p);
-            if !keys.contains(&key) && !cache.iter().any(|(k, _)| *k == key) {
-                keys.push(key);
-                missing.push(**p);
-            }
-        }
-    }
-    if missing.is_empty() {
-        return Ok(());
-    }
-    let _pf = sfq_obs::prof::frame("jtl_bench_batch");
-    let chains = jtl_characteristics_many(JTL_STAGES, &missing)?;
-    let splits = splitter_delay_many(&missing)?;
-    let mut cache = JTL_BENCH_CACHE.write();
-    for ((key, ex), split) in keys.into_iter().zip(chains).zip(splits) {
-        if !cache.iter().any(|(k, _)| *k == key) {
-            cache.push((
-                key,
-                JtlMeas {
-                    jtl_delay_ps: ex.delay_s * 1e12,
-                    jtl_energy_aj: ex.energy_j * 1e18,
-                    splitter_delay_ps: split * 1e12,
-                },
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn prefill_dff_benches(ps: &[&DffParams]) -> Result<(), SimError> {
-    let mut missing: Vec<DffParams> = Vec::new();
-    let mut keys: Vec<DffKey> = Vec::new();
-    {
-        let cache = DFF_BENCH_CACHE.read();
-        for p in ps {
-            let key = dff_bench_key(p);
-            if !keys.contains(&key) && !cache.iter().any(|(k, _)| *k == key) {
-                keys.push(key);
-                missing.push(**p);
-            }
-        }
-    }
-    if missing.is_empty() {
-        return Ok(());
-    }
-    let _pf = sfq_obs::prof::frame("dff_bench_batch");
-    let delays = dff_clock_to_q_many(&missing)?;
-    let energies = dff_cycle_energy_many(&missing)?;
-    // The shift-register search is a sequential bisection (each trial
-    // period depends on the previous verdict) — it stays scalar per
-    // point; the batched benches above already carry the bulk of the
-    // transient load.
-    let mut srs = Vec::with_capacity(missing.len());
-    for p in &missing {
-        srs.push(max_shift_frequency(p, SR_BISECT_LO_PS, SR_BISECT_HI_PS)? / 1e9);
-    }
-    let mut cache = DFF_BENCH_CACHE.write();
-    for (((key, delay), energy), sr) in keys.into_iter().zip(delays).zip(energies).zip(srs) {
-        if !cache.iter().any(|(k, _)| *k == key) {
-            cache.push((
-                key,
-                DffMeas {
-                    dff_delay_ps: delay * 1e12,
-                    dff_energy_aj: energy * 1e18,
-                    sr_max_ghz: sr,
-                },
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn prefill_and_benches(ps: &[&AndParams]) -> Result<(), SimError> {
-    let mut missing: Vec<AndParams> = Vec::new();
-    let mut keys: Vec<AndKey> = Vec::new();
-    {
-        let cache = AND_BENCH_CACHE.read();
-        for p in ps {
-            let key = and_bench_key(p);
-            if !keys.contains(&key) && !cache.iter().any(|(k, _)| *k == key) {
-                keys.push(key);
-                missing.push(**p);
-            }
-        }
-    }
-    if missing.is_empty() {
-        return Ok(());
-    }
-    let _pf = sfq_obs::prof::frame("and_bench_batch");
-    let delays = and_clock_to_q_many(&missing)?;
-    let energies = and_cycle_energy_many(&missing)?;
-    let mut cache = AND_BENCH_CACHE.write();
-    for ((key, delay), energy) in keys.into_iter().zip(delays).zip(energies) {
-        if !cache.iter().any(|(k, _)| *k == key) {
-            cache.push((
-                key,
-                AndMeas {
-                    and_delay_ps: delay * 1e12,
-                    and_energy_aj: energy * 1e18,
-                },
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// [`measure_with`] over many design points at once — the family
-/// re-characterization entry point for sweeps.
-///
-/// Each cell family's testbenches run as [`jjsim::BatchedTransient`]
-/// groups over all points whose parameters for that family are not
-/// already memoized (distinct points only — duplicated parameter sets
-/// are deduplicated first), then every point is assembled through the
-/// ordinary [`measure_with`] memo path. With batching disabled
-/// (`SUPERNPU_BATCH=0`), this degrades to exactly the per-point scalar
-/// measurement.
-///
-/// # Errors
-///
-/// Propagates the first transient-solver failure. Errors are not
-/// cached.
-pub fn measure_many(
-    points: &[(JtlParams, DffParams, AndParams)],
-) -> Result<Vec<Measurements>, SimError> {
-    if jjsim::batch_width() >= 2 && points.len() > 1 {
-        let _pf = sfq_obs::prof::frame("chars.measure_many");
-        prefill_jtl_benches(&points.iter().map(|p| &p.0).collect::<Vec<_>>())?;
-        prefill_dff_benches(&points.iter().map(|p| &p.1).collect::<Vec<_>>())?;
-        prefill_and_benches(&points.iter().map(|p| &p.2).collect::<Vec<_>>())?;
-    }
-    points
-        .iter()
-        .map(|(jtl_p, dff_p, and_p)| measure_with(jtl_p, dff_p, and_p))
-        .collect()
-}
-
 /// Turn measurements into a full cell library.
 ///
 /// Measured rows (JTL, splitter, DFF, AND) use their transient delays
@@ -851,81 +704,6 @@ mod tests {
         assert!(m.and_delay_ps > 1.0 && m.and_delay_ps < 25.0);
         assert!(m.sr_max_ghz > 20.0 && m.sr_max_ghz < 220.0);
         assert!(m.jtl_energy_aj > 0.05 && m.jtl_energy_aj < 5.0);
-    }
-
-    #[test]
-    fn batched_measure_many_tracks_scalar_extraction() {
-        // Perturbed (non-default) parameter sets so this test's cache
-        // keys never collide with the other tests'.
-        let points: Vec<(JtlParams, DffParams, AndParams)> = [0.96, 0.99, 1.02, 1.04, 1.07]
-            .iter()
-            .map(|&s| {
-                let jtl = JtlParams {
-                    ic: 1.0e-4 * s,
-                    ..JtlParams::default()
-                };
-                // The shift-register bench only works within roughly
-                // −0.2%..+1% of the nominal readout Ic; keep the DFF
-                // perturbation inside that window.
-                let dff = DffParams {
-                    ic_out: DffParams::default().ic_out * (1.0 + 0.03 * (s - 1.0)),
-                    ..DffParams::default()
-                };
-                // The clocked AND stops firing ~6% above nominal
-                // readout Ic; stay within ±2%.
-                let and = AndParams {
-                    ic_out: AndParams::default().ic_out * (1.0 + 0.3 * (s - 1.0)),
-                    ..AndParams::default()
-                };
-                (jtl, dff, and)
-            })
-            .collect();
-        let many = measure_many(&points).expect("batched characterization runs");
-        assert_eq!(many.len(), points.len());
-        for (m, (jtl_p, dff_p, and_p)) in many.iter().zip(&points) {
-            // Delays agree with fresh scalar extraction to the batch
-            // contract's pulse-time tolerance (each delay is a
-            // difference of two pulse times, 0.5 ps each).
-            let jtl = jtl_characteristics(JTL_STAGES, jtl_p).expect("scalar jtl");
-            assert!(
-                (m.jtl_delay_ps - jtl.delay_s * 1e12).abs() <= 1.0,
-                "jtl delay {} vs scalar {}",
-                m.jtl_delay_ps,
-                jtl.delay_s * 1e12
-            );
-            let dffd = dff_clock_to_q(dff_p).expect("scalar dff") * 1e12;
-            assert!(
-                (m.dff_delay_ps - dffd).abs() <= 1.0,
-                "dff delay {} vs scalar {dffd}",
-                m.dff_delay_ps
-            );
-            let andd = and_clock_to_q(and_p).expect("scalar and") * 1e12;
-            assert!(
-                (m.and_delay_ps - andd).abs() <= 1.0,
-                "and delay {} vs scalar {andd}",
-                m.and_delay_ps
-            );
-            // Energies are integrals over near-identical trajectories.
-            let ande = and_cycle_energy(and_p).expect("scalar and energy") * 1e18;
-            let rel = (m.and_energy_aj - ande).abs() / ande;
-            assert!(
-                rel < 0.05,
-                "and energy {} vs scalar {ande}",
-                m.and_energy_aj
-            );
-        }
-        // A second pass over the same points is served entirely from
-        // the memo: no new transients.
-        let runs = jjsim::transient_runs();
-        let again = measure_many(&points).expect("memoized");
-        assert_eq!(
-            jjsim::transient_runs(),
-            runs,
-            "second pass must be memoized"
-        );
-        for (a, b) in many.iter().zip(&again) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::path::{Path, PathBuf};
 
 use jjsim::stdlib::{clocked_and, dff, jtl_chain, AndParams, DffParams, JtlParams};
-use jjsim::{BatchedTransient, Circuit, SimError, SimOptions, SimResult, Solver};
+use jjsim::{BatchedTransient, Circuit, ElementId, SimError, SimOptions, SimResult};
 use serde::{Deserialize, Serialize};
 
 use crate::rng::SplitMix64;
@@ -200,46 +200,145 @@ struct Checkpoint {
     outcomes: Vec<Outcome>,
 }
 
-/// Functional probe of one perturbed cell draw. Pure in `(cell, σ,
-/// rng-state)`; runs one or two short transients.
-fn probe_cell(cell: Cell, sigma: f64, rng: &mut SplitMix64) -> Result<bool, SimError> {
-    let v = Variation::uniform(sigma);
-    match cell {
-        Cell::Jtl => {
-            let p = perturb_jtl(&JtlParams::default(), &v, rng);
-            let (ckt, stages) = jtl_chain(4, &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(200e-12)?;
-            Ok(stages.iter().all(|j| out.pulse_count(*j) == 1))
-        }
-        Cell::Dff => {
-            let p = perturb_dff(&DffParams::default(), &v, rng);
-            let (ckt, probes) = dff(&[60e-12], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(160e-12)?;
-            let stores = out.pulse_count(probes.input) == 1 && out.pulse_count(probes.output) == 1;
-            if !stores {
-                return Ok(false);
-            }
-            let (ckt, probes) = dff(&[], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(160e-12)?;
-            Ok(out.pulse_count(probes.output) == 0)
-        }
-        Cell::ClockedAnd => {
-            let p = perturb_and(&AndParams::default(), &v, rng);
-            let (ckt, probes) = clocked_and(&[60e-12], &[60e-12], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(170e-12)?;
-            let fires = out.pulse_count(probes.output) == 1;
-            if !fires {
-                return Ok(false);
-            }
-            let (ckt, probes) = clocked_and(&[60e-12], &[], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(170e-12)?;
-            Ok(out.pulse_count(probes.output) == 0)
-        }
+/// One perturbed parameter draw of a cell.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    Jtl(JtlParams),
+    Dff(DffParams),
+    ClockedAnd(AndParams),
+}
+
+/// One phase of a cell's functional testbench.
+struct Phase {
+    circuit: Circuit,
+    /// Simulated horizon, seconds.
+    t_end: f64,
+    check: Check,
+}
+
+/// A phase's pass check: every probed junction slips exactly `pulses`
+/// times.
+struct Check {
+    probes: Vec<ElementId>,
+    pulses: usize,
+}
+
+impl Check {
+    fn passes(&self, out: &SimResult) -> bool {
+        self.probes
+            .iter()
+            .all(|&j| out.pulse_count(j) == self.pulses)
     }
 }
 
-/// Run one sample to a verdict (everything but panic isolation, which
-/// the caller's `par_map_catch` provides).
+impl Draw {
+    /// Sample `idx`'s parameters, drawn from its own substream: pure in
+    /// `(seed, cell, σ, idx)`, so a retry or a resumed run redraws them
+    /// identically.
+    fn new(cell: Cell, sigma: f64, seed: u64, idx: usize) -> Draw {
+        let v = Variation::uniform(sigma);
+        let mut rng = SplitMix64::substream(seed, &[cell.tag(), sigma.to_bits(), idx as u64]);
+        match cell {
+            Cell::Jtl => Draw::Jtl(perturb_jtl(&JtlParams::default(), &v, &mut rng)),
+            Cell::Dff => Draw::Dff(perturb_dff(&DffParams::default(), &v, &mut rng)),
+            Cell::ClockedAnd => Draw::ClockedAnd(perturb_and(&AndParams::default(), &v, &mut rng)),
+        }
+    }
+
+    /// Phase `k` of the cell's functional testbench, `None` past the
+    /// last. A sample passes when every phase passes and fails at the
+    /// first phase that does not. Every draw of one cell builds phase
+    /// `k` with the same topology, so a phase batches across samples.
+    fn phase(&self, k: usize) -> Option<Phase> {
+        let (circuit, t_end, probes, pulses) = match (self, k) {
+            // JTL: one pulse in, one out per stage.
+            (Draw::Jtl(p), 0) => {
+                let (c, stages) = jtl_chain(4, p);
+                (c, 200e-12, stages, 1)
+            }
+            // DFF: store-then-release works...
+            (Draw::Dff(p), 0) => {
+                let (c, pr) = dff(&[60e-12], &[100e-12], p);
+                (c, 160e-12, vec![pr.input, pr.output], 1)
+            }
+            // ...and a clock without data stays silent.
+            (Draw::Dff(p), 1) => {
+                let (c, pr) = dff(&[], &[100e-12], p);
+                (c, 160e-12, vec![pr.output], 0)
+            }
+            // Clocked AND: fires with both inputs set...
+            (Draw::ClockedAnd(p), 0) => {
+                let (c, pr) = clocked_and(&[60e-12], &[60e-12], &[100e-12], p);
+                (c, 170e-12, vec![pr.output], 1)
+            }
+            // ...and stays silent with one.
+            (Draw::ClockedAnd(p), 1) => {
+                let (c, pr) = clocked_and(&[60e-12], &[], &[100e-12], p);
+                (c, 170e-12, vec![pr.output], 0)
+            }
+            _ => return None,
+        };
+        Some(Phase {
+            circuit,
+            t_end,
+            check: Check { probes, pulses },
+        })
+    }
+}
+
+/// One sample's testbench verdict: pass or fail, or the error of a
+/// transient that did not finish.
+type Verdict = Result<bool, SimError>;
+
+/// Run the testbenches of `draws` (all of one cell) phase by phase,
+/// each phase as one [`BatchedTransient`] over the draws that passed
+/// every earlier phase. A one-draw batch is the scalar golden path, so
+/// a lone sample and a lane group share this driver.
+///
+/// # Errors
+///
+/// A phase's batch could not be built (e.g. a perturbed circuit fails
+/// validation).
+fn run_testbenches(draws: &[Draw]) -> Result<Vec<Verdict>, SimError> {
+    let mut verdicts: Vec<Verdict> = vec![Ok(true); draws.len()];
+    let mut live: Vec<usize> = (0..draws.len()).collect();
+    let mut k = 0;
+    while !live.is_empty() {
+        let Some(phases) = live
+            .iter()
+            .map(|&s| draws[s].phase(k))
+            .collect::<Option<Vec<_>>>()
+        else {
+            break; // every live draw passed the cell's last phase
+        };
+        let t_end = phases[0].t_end;
+        let (circuits, checks): (Vec<Circuit>, Vec<Check>) =
+            phases.into_iter().map(|p| (p.circuit, p.check)).unzip();
+        let runs = BatchedTransient::new(circuits, SimOptions::adaptive())?.try_run(t_end);
+        let mut passed = Vec::with_capacity(live.len());
+        for ((s, check), run) in live.into_iter().zip(checks).zip(runs) {
+            match run {
+                Ok(out) if check.passes(&out) => passed.push(s),
+                Ok(_) => verdicts[s] = Ok(false),
+                Err(e) => verdicts[s] = Err(e),
+            }
+        }
+        live = passed;
+        k += 1;
+    }
+    Ok(verdicts)
+}
+
+fn pass_or_fail(pass: bool) -> Outcome {
+    if pass {
+        Outcome::Pass
+    } else {
+        Outcome::Fail
+    }
+}
+
+/// Run one sample alone to a verdict (everything but panic isolation,
+/// which the caller's `par_map_catch` provides).
 fn run_sample(cell: Cell, sigma: f64, seed: u64, idx: usize, opts: &McOptions) -> Outcome {
     if opts.injection.panic_at.contains(&idx) {
         panic!("injected fault: sample {idx} of {} probe", cell.name());
@@ -251,205 +350,21 @@ fn run_sample(cell: Cell, sigma: f64, seed: u64, idx: usize, opts: &McOptions) -
         if opts.injection.non_convergent_at.contains(&idx) {
             continue; // injected: this sample never converges
         }
-        // The substream depends only on the sample identity — not the
+        // The draw depends only on the sample identity — not the
         // attempt — so a retry reruns the identical computation. The
         // budget exists for injected and environmental failures; a
         // deterministic solver error will simply exhaust it.
-        let mut rng = SplitMix64::substream(seed, &[cell.tag(), sigma.to_bits(), idx as u64]);
-        match probe_cell(cell, sigma, &mut rng) {
-            Ok(true) => return Outcome::Pass,
-            Ok(false) => return Outcome::Fail,
-            Err(_) => {}
+        let draw = Draw::new(cell, sigma, seed, idx);
+        if let Ok([Ok(pass)]) = run_testbenches(&[draw]).as_deref() {
+            return pass_or_fail(*pass);
         }
     }
     Outcome::NonConvergent
 }
 
-/// Batched transient for one phase of a group's testbenches: `None`
-/// when the batch could not even be constructed (e.g. a perturbed
-/// instance fails validation — rare, handled by the scalar path),
-/// otherwise per-instance results where an `Err` lane already fell
-/// back to the scalar golden path inside
-/// [`BatchedTransient::try_run`].
-fn batch_phase(ckts: Vec<Circuit>, t_end: f64) -> Option<Vec<Result<SimResult, SimError>>> {
-    let batch = BatchedTransient::new(ckts, SimOptions::adaptive()).ok()?;
-    Some(batch.try_run(t_end))
-}
-
-/// Batched verdicts for a lane group of samples without injections.
-/// Returns `None` when the group has to take the per-sample scalar
-/// path instead (batch construction failed). Individual erroring
-/// samples are re-run through [`run_sample`] so the retry accounting
-/// and final [`Outcome`] match the scalar path exactly.
-#[allow(clippy::too_many_lines)]
-fn probe_group_batched(
-    cell: Cell,
-    sigma: f64,
-    seed: u64,
-    idxs: &[usize],
-    opts: &McOptions,
-) -> Option<Vec<Outcome>> {
-    let v = Variation::uniform(sigma);
-    let rng_for = |i: usize| SplitMix64::substream(seed, &[cell.tag(), sigma.to_bits(), i as u64]);
-    let scalar = |i: usize| run_sample(cell, sigma, seed, i, opts);
-    match cell {
-        Cell::Jtl => {
-            let ps: Vec<JtlParams> = idxs
-                .iter()
-                .map(|&i| perturb_jtl(&JtlParams::default(), &v, &mut rng_for(i)))
-                .collect();
-            let mut stages = Vec::new();
-            let ckts: Vec<Circuit> = ps
-                .iter()
-                .map(|p| {
-                    let (c, s) = jtl_chain(4, p);
-                    stages = s;
-                    c
-                })
-                .collect();
-            let runs = batch_phase(ckts, 200e-12)?;
-            Some(
-                idxs.iter()
-                    .zip(runs)
-                    .map(|(&i, r)| match r {
-                        Ok(out) => {
-                            if stages.iter().all(|j| out.pulse_count(*j) == 1) {
-                                Outcome::Pass
-                            } else {
-                                Outcome::Fail
-                            }
-                        }
-                        Err(_) => scalar(i),
-                    })
-                    .collect(),
-            )
-        }
-        Cell::Dff => {
-            let ps: Vec<DffParams> = idxs
-                .iter()
-                .map(|&i| perturb_dff(&DffParams::default(), &v, &mut rng_for(i)))
-                .collect();
-            let mut probes = None;
-            let ckts: Vec<Circuit> = ps
-                .iter()
-                .map(|p| {
-                    let (c, pr) = dff(&[60e-12], &[100e-12], p);
-                    probes = Some(pr);
-                    c
-                })
-                .collect();
-            let probes = probes?;
-            let runs = batch_phase(ckts, 160e-12)?;
-            // Samples that store correctly advance to the silent-clock
-            // bench; the rest already have their verdict.
-            let mut verdict: Vec<Option<Outcome>> = Vec::with_capacity(idxs.len());
-            let mut second: Vec<usize> = Vec::new();
-            for (slot, (&i, r)) in idxs.iter().zip(runs).enumerate() {
-                match r {
-                    Ok(out) => {
-                        let stores = out.pulse_count(probes.input) == 1
-                            && out.pulse_count(probes.output) == 1;
-                        if stores {
-                            verdict.push(None);
-                            second.push(slot);
-                        } else {
-                            verdict.push(Some(Outcome::Fail));
-                        }
-                    }
-                    Err(_) => verdict.push(Some(scalar(i))),
-                }
-            }
-            if !second.is_empty() {
-                let mut probes2 = None;
-                let ckts2: Vec<Circuit> = second
-                    .iter()
-                    .map(|&slot| {
-                        let (c, pr) = dff(&[], &[100e-12], &ps[slot]);
-                        probes2 = Some(pr);
-                        c
-                    })
-                    .collect();
-                let probes2 = probes2?;
-                let runs2 = batch_phase(ckts2, 160e-12)?;
-                for (&slot, r) in second.iter().zip(runs2) {
-                    verdict[slot] = Some(match r {
-                        Ok(out) => {
-                            if out.pulse_count(probes2.output) == 0 {
-                                Outcome::Pass
-                            } else {
-                                Outcome::Fail
-                            }
-                        }
-                        Err(_) => scalar(idxs[slot]),
-                    });
-                }
-            }
-            verdict.into_iter().collect()
-        }
-        Cell::ClockedAnd => {
-            let ps: Vec<AndParams> = idxs
-                .iter()
-                .map(|&i| perturb_and(&AndParams::default(), &v, &mut rng_for(i)))
-                .collect();
-            let mut probes = None;
-            let ckts: Vec<Circuit> = ps
-                .iter()
-                .map(|p| {
-                    let (c, pr) = clocked_and(&[60e-12], &[60e-12], &[100e-12], p);
-                    probes = Some(pr);
-                    c
-                })
-                .collect();
-            let probes = probes?;
-            let runs = batch_phase(ckts, 170e-12)?;
-            let mut verdict: Vec<Option<Outcome>> = Vec::with_capacity(idxs.len());
-            let mut second: Vec<usize> = Vec::new();
-            for (slot, (&i, r)) in idxs.iter().zip(runs).enumerate() {
-                match r {
-                    Ok(out) => {
-                        if out.pulse_count(probes.output) == 1 {
-                            verdict.push(None);
-                            second.push(slot);
-                        } else {
-                            verdict.push(Some(Outcome::Fail));
-                        }
-                    }
-                    Err(_) => verdict.push(Some(scalar(i))),
-                }
-            }
-            if !second.is_empty() {
-                let mut probes2 = None;
-                let ckts2: Vec<Circuit> = second
-                    .iter()
-                    .map(|&slot| {
-                        let (c, pr) = clocked_and(&[60e-12], &[], &[100e-12], &ps[slot]);
-                        probes2 = Some(pr);
-                        c
-                    })
-                    .collect();
-                let probes2 = probes2?;
-                let runs2 = batch_phase(ckts2, 170e-12)?;
-                for (&slot, r) in second.iter().zip(runs2) {
-                    verdict[slot] = Some(match r {
-                        Ok(out) => {
-                            if out.pulse_count(probes2.output) == 0 {
-                                Outcome::Pass
-                            } else {
-                                Outcome::Fail
-                            }
-                        }
-                        Err(_) => scalar(idxs[slot]),
-                    });
-                }
-            }
-            verdict.into_iter().collect()
-        }
-    }
-}
-
-/// Per-sample scalar outcomes with individual panic isolation — the
-/// pre-batching behavior, used directly for injected groups and as the
-/// fallback when a batched group cannot run.
+/// Per-sample outcomes with individual panic isolation, used directly
+/// for one-sample and injected groups and as the fallback when a lane
+/// group cannot run batched.
 fn scalar_group(
     cell: Cell,
     sigma: f64,
@@ -467,10 +382,13 @@ fn scalar_group(
 }
 
 /// One lane group of a Monte-Carlo chunk. Injected groups keep the
-/// scalar path (injection exercises the per-sample harness, which is
-/// exactly what must stay observable); clean groups run batched, with
-/// any genuine panic demoting the whole group to the per-sample scalar
-/// path so panic isolation still holds sample-by-sample.
+/// per-sample path (injection exercises the per-sample harness, which
+/// is exactly what must stay observable). Clean groups run batched: a
+/// sample whose transient errored reruns alone through [`run_sample`],
+/// so the retry accounting and final [`Outcome`] match the per-sample
+/// path exactly, and a batch that cannot be built or a genuine panic
+/// demotes the whole group to the per-sample path, so panic isolation
+/// still holds sample-by-sample.
 fn run_group(cell: Cell, sigma: f64, seed: u64, idxs: &[usize], opts: &McOptions) -> Vec<Outcome> {
     let injected = idxs.iter().any(|i| {
         opts.injection.panic_at.contains(i) || opts.injection.non_convergent_at.contains(i)
@@ -479,7 +397,20 @@ fn run_group(cell: Cell, sigma: f64, seed: u64, idxs: &[usize], opts: &McOptions
         return scalar_group(cell, sigma, seed, idxs, opts);
     }
     let batched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        probe_group_batched(cell, sigma, seed, idxs, opts)
+        let draws: Vec<Draw> = idxs
+            .iter()
+            .map(|&i| Draw::new(cell, sigma, seed, i))
+            .collect();
+        let verdicts = run_testbenches(&draws).ok()?;
+        Some(
+            idxs.iter()
+                .zip(verdicts)
+                .map(|(&i, v)| match v {
+                    Ok(pass) => pass_or_fail(pass),
+                    Err(_) => run_sample(cell, sigma, seed, i, opts),
+                })
+                .collect::<Vec<Outcome>>(),
+        )
     }));
     match batched {
         Ok(Some(outcomes)) => {
@@ -594,38 +525,25 @@ pub fn run_outcomes(
     while outcomes.len() < n {
         let start = outcomes.len();
         let end = (start + chunk).min(n);
-        let width = jjsim::batch_width();
-        let results: Vec<Outcome> = if width < 2 {
-            // Batching disabled: the historical per-sample path.
-            let idxs: Vec<usize> = (start..end).collect();
-            sfq_par::par_map_catch(&idxs, |&i| run_sample(cell, sigma, seed, i, opts))
-                .into_iter()
-                .map(|r| match r {
-                    Ok(o) => o,
-                    Err(_panic) => Outcome::Panicked,
-                })
-                .collect()
-        } else {
-            // Lane groups keyed on the *absolute* sample index, so a
-            // resumed run regroups exactly like an uninterrupted one.
-            let groups: Vec<Vec<usize>> = sfq_par::lane_groups(start, end, width)
-                .into_iter()
-                .map(|r| r.collect())
-                .collect();
-            let per_group =
-                sfq_par::par_map_catch(&groups, |g| run_group(cell, sigma, seed, g, opts));
-            groups
-                .iter()
-                .zip(per_group)
-                .flat_map(|(g, r)| match r {
-                    Ok(outs) => outs,
-                    // A panic in the group *bookkeeping* (the probes
-                    // themselves are already contained): redo this
-                    // group sample-by-sample with panic isolation.
-                    Err(_panic) => scalar_group(cell, sigma, seed, g, opts),
-                })
-                .collect()
-        };
+        // Lane groups keyed on the *absolute* sample index, so a
+        // resumed run regroups exactly like an uninterrupted one. At
+        // width 1 every group is one sample.
+        let groups: Vec<Vec<usize>> = sfq_par::lane_groups(start, end, jjsim::batch_width())
+            .into_iter()
+            .map(|r| r.collect())
+            .collect();
+        let per_group = sfq_par::par_map_catch(&groups, |g| run_group(cell, sigma, seed, g, opts));
+        let results: Vec<Outcome> = groups
+            .iter()
+            .zip(per_group)
+            .flat_map(|(g, r)| match r {
+                Ok(outs) => outs,
+                // A panic in the group *bookkeeping* (the probes
+                // themselves are already contained): redo this group
+                // sample-by-sample with panic isolation.
+                Err(_panic) => scalar_group(cell, sigma, seed, g, opts),
+            })
+            .collect();
         for outcome in results {
             if sfq_obs::enabled() {
                 sfq_obs::inc("faults.mc.samples");

@@ -2,15 +2,15 @@
 //! parameter-perturbed instances of one netlist in SoA form, sharing
 //! one adaptive-stepping/factorization schedule across all lanes.
 //!
-//! The consumers that dominate transient counts — `sfq_faults`
-//! Monte-Carlo yield, margins bisection probes, family
-//! re-characterization sweeps — all solve *structure-identical*
-//! circuits that differ only in element values. [`BatchedTransient`]
-//! exploits that: one topology analysis (bandwidth, stamp-index plan,
-//! source-event windows), one Newton/controller schedule, and every
-//! per-entry kernel (linear restamp, jj stamp + RHS, banded LU
-//! factor/solve, LTE control, commit) runs over contiguous
-//! `[f64; LANES]` lanes from [`crate::lanes`].
+//! `sfq_faults` Monte-Carlo yield, the one consumer, solves hundreds
+//! of *structure-identical* circuits that differ only in element
+//! values. [`BatchedTransient`] exploits that: one topology analysis
+//! (bandwidth, stamp-index plan, source-event windows), one
+//! Newton/controller schedule, and every per-entry kernel (linear
+//! restamp, jj stamp + RHS, banded LU factor/solve, LTE control,
+//! commit) runs over contiguous `[f64; LANES]` lanes from
+//! [`crate::lanes`]. A one-circuit batch runs the scalar golden path,
+//! so a consumer can drive lone instances through the same API.
 //!
 //! # Stepping discipline and the scalar golden reference
 //!

@@ -72,9 +72,8 @@ pub fn clear_extract_cache() {
     misses.reset();
 }
 
-/// Solve one testbench, through the memo. Every scalar extraction
-/// below and every [`max_shift_frequency`] trial goes through here;
-/// the lane-batched `_many` variants do not.
+/// Solve one testbench, through the memo. Every extraction below and
+/// every [`max_shift_frequency`] trial goes through here.
 fn run(c: crate::Circuit, t_end: f64) -> Result<SimResult, SimError> {
     let mut key = c.fingerprint();
     key.extend([t_end.to_bits(), u64::from(sfq_guard::relax_level())]);
@@ -207,212 +206,6 @@ pub fn dff_cycle_energy(p: &DffParams) -> Result<f64, SimError> {
     let (c, _probes) = dff(&[60e-12], &[100e-12], p);
     let out = run(c, 170e-12)?;
     Ok(out.dissipated_j)
-}
-
-// ---------------------------------------------- lane-batched extraction
-//
-// The `_many` variants below run K parameter-perturbed instances of
-// one testbench as [`crate::BatchedTransient`] groups — the
-// re-characterization path for sweeps that probe many design points of
-// the same cell family. Each group shares one factorization schedule,
-// so the cost of K extractions approaches the cost of one. Horizons
-// that depend on per-instance parameters (the JTL benches) use the
-// group-wide maximum, which leaves first-pulse delays untouched and
-// perturbs quiescent-tail energies only marginally.
-
-/// Lane-batched [`jtl_characteristics`] over many parameter sets.
-///
-/// # Errors
-///
-/// Propagates solver failures; per-instance non-propagation is
-/// reported exactly as in the scalar extraction.
-///
-/// # Panics
-///
-/// Panics if `n < 3`.
-pub fn jtl_characteristics_many(n: usize, ps: &[JtlParams]) -> Result<Vec<Extraction>, SimError> {
-    assert!(n >= 3, "need at least 3 stages");
-    if ps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut stages = Vec::new();
-    let ckts: Vec<crate::Circuit> = ps
-        .iter()
-        .map(|p| {
-            let (c, s) = jtl_chain(n, p);
-            stages = s;
-            c
-        })
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let t_end = ps
-        .iter()
-        .map(|p| p.input_time + 40e-12 * n as f64)
-        .fold(0.0, f64::max);
-    crate::BatchedTransient::new(ckts, SimOptions::adaptive())?
-        .try_run(t_end)
-        .into_iter()
-        .map(|r| {
-            let out = r?;
-            let t_first = out.pulse_times(stages[0]).first().copied();
-            let t_last = out.pulse_times(stages[n - 1]).first().copied();
-            let (Some(t0), Some(t1)) = (t_first, t_last) else {
-                return Err(SimError::NonConvergent {
-                    what: "JTL chain did not propagate the launch pulse",
-                });
-            };
-            #[allow(clippy::cast_precision_loss)]
-            Ok(Extraction {
-                delay_s: (t1 - t0) / (n - 1) as f64,
-                energy_j: out.dissipated_j / n as f64,
-            })
-        })
-        .collect()
-}
-
-/// Lane-batched [`splitter_delay`] over many parameter sets.
-///
-/// # Errors
-///
-/// Propagates solver failures or a non-firing splitter per instance.
-pub fn splitter_delay_many(ps: &[JtlParams]) -> Result<Vec<f64>, SimError> {
-    if ps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut probes = None;
-    let ckts: Vec<crate::Circuit> = ps
-        .iter()
-        .map(|p| {
-            let (c, pr) = splitter(p);
-            probes = Some(pr);
-            c
-        })
-        .collect();
-    let probes = probes.ok_or(SimError::EmptyCircuit)?;
-    let t_end = ps.iter().map(|p| p.input_time + 80e-12).fold(0.0, f64::max);
-    crate::BatchedTransient::new(ckts, SimOptions::adaptive())?
-        .try_run(t_end)
-        .into_iter()
-        .map(|r| {
-            let out = r?;
-            let (Some(&t_in), Some(&t_out)) = (
-                out.pulse_times(probes.input).first(),
-                out.pulse_times(probes.out_a).first(),
-            ) else {
-                return Err(SimError::NonConvergent {
-                    what: "splitter did not fire on both probes",
-                });
-            };
-            Ok(t_out - t_in)
-        })
-        .collect()
-}
-
-/// Lane-batched [`dff_clock_to_q`] over many parameter sets.
-///
-/// # Errors
-///
-/// Propagates solver failures or a non-releasing DFF per instance.
-pub fn dff_clock_to_q_many(ps: &[DffParams]) -> Result<Vec<f64>, SimError> {
-    if ps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let clock_t = 100e-12;
-    let mut probes = None;
-    let ckts: Vec<crate::Circuit> = ps
-        .iter()
-        .map(|p| {
-            let (c, pr) = dff(&[60e-12], &[clock_t], p);
-            probes = Some(pr);
-            c
-        })
-        .collect();
-    let probes = probes.ok_or(SimError::EmptyCircuit)?;
-    crate::BatchedTransient::new(ckts, SimOptions::adaptive())?
-        .try_run(170e-12)
-        .into_iter()
-        .map(|r| {
-            let out = r?;
-            let Some(&t_out) = out.pulse_times(probes.output).first() else {
-                return Err(SimError::NonConvergent {
-                    what: "DFF did not release its stored datum",
-                });
-            };
-            Ok(t_out - clock_t)
-        })
-        .collect()
-}
-
-/// Lane-batched [`dff_cycle_energy`] over many parameter sets.
-///
-/// # Errors
-///
-/// Propagates solver failures per instance.
-pub fn dff_cycle_energy_many(ps: &[DffParams]) -> Result<Vec<f64>, SimError> {
-    if ps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let ckts: Vec<crate::Circuit> = ps.iter().map(|p| dff(&[60e-12], &[100e-12], p).0).collect();
-    crate::BatchedTransient::new(ckts, SimOptions::adaptive())?
-        .try_run(170e-12)
-        .into_iter()
-        .map(|r| Ok(r?.dissipated_j))
-        .collect()
-}
-
-/// Lane-batched [`and_clock_to_q`] over many parameter sets.
-///
-/// # Errors
-///
-/// Propagates solver failures or a non-firing gate per instance.
-pub fn and_clock_to_q_many(ps: &[AndParams]) -> Result<Vec<f64>, SimError> {
-    if ps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let clock_t = 100e-12;
-    let mut probes = None;
-    let ckts: Vec<crate::Circuit> = ps
-        .iter()
-        .map(|p| {
-            let (c, pr) = clocked_and(&[60e-12], &[60e-12], &[clock_t], p);
-            probes = Some(pr);
-            c
-        })
-        .collect();
-    let probes = probes.ok_or(SimError::EmptyCircuit)?;
-    crate::BatchedTransient::new(ckts, SimOptions::adaptive())?
-        .try_run(170e-12)
-        .into_iter()
-        .map(|r| {
-            let out = r?;
-            let Some(&t_out) = out.pulse_times(probes.output).first() else {
-                return Err(SimError::NonConvergent {
-                    what: "clocked AND did not fire with both inputs set",
-                });
-            };
-            Ok(t_out - clock_t)
-        })
-        .collect()
-}
-
-/// Lane-batched [`and_cycle_energy`] over many parameter sets.
-///
-/// # Errors
-///
-/// Propagates solver failures per instance.
-pub fn and_cycle_energy_many(ps: &[AndParams]) -> Result<Vec<f64>, SimError> {
-    if ps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let ckts: Vec<crate::Circuit> = ps
-        .iter()
-        .map(|p| clocked_and(&[60e-12], &[60e-12], &[100e-12], p).0)
-        .collect();
-    crate::BatchedTransient::new(ckts, SimOptions::adaptive())?
-        .try_run(170e-12)
-        .into_iter()
-        .map(|r| Ok(r?.dissipated_j))
-        .collect()
 }
 
 /// Verdict of one shift-register functional trial.

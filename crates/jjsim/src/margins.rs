@@ -54,106 +54,6 @@ pub fn clear_probe_cache() {
     probe_cache().clear();
 }
 
-/// A lane-batched evaluation of many probe parameter values at once:
-/// one pass/fail verdict per input value.
-type ProbeMany<'a> = dyn FnMut(&[f64]) -> Result<Vec<bool>, SimError> + 'a;
-
-/// Resolve a batch of probe values against the memo, running only the
-/// misses through `run_many` (a lane-batched evaluation of many
-/// parameter values at once) and caching their verdicts under the same
-/// keys [`cached_probe`] uses — so a scalar bisection replayed
-/// afterwards is served entirely from the memo.
-fn batched_cached_probes(
-    cell: &'static str,
-    values: &[f64],
-    run_many: &mut ProbeMany<'_>,
-) -> Result<Vec<bool>, SimError> {
-    let mut out = vec![false; values.len()];
-    let mut miss_slots: Vec<usize> = Vec::new();
-    let mut miss_vals: Vec<f64> = Vec::new();
-    {
-        let cache = probe_cache();
-        for (slot, &v) in values.iter().enumerate() {
-            let key = (cell, v.to_bits());
-            if let Some(&(_, ok)) = cache.iter().find(|(k, _)| *k == key) {
-                out[slot] = ok;
-            } else {
-                miss_slots.push(slot);
-                miss_vals.push(v);
-            }
-        }
-    }
-    if miss_vals.is_empty() {
-        return Ok(out);
-    }
-    let verdicts = run_many(&miss_vals)?;
-    let mut cache = probe_cache();
-    for ((&slot, &v), &ok) in miss_slots.iter().zip(&miss_vals).zip(&verdicts) {
-        out[slot] = ok;
-        // Another thread may have probed the same value meanwhile;
-        // verdicts are deterministic, so keeping both entries is
-        // harmless, but avoid unbounded duplicates.
-        let key = (cell, v.to_bits());
-        if !cache.iter().any(|(k, _)| *k == key) {
-            cache.push((key, ok));
-        }
-    }
-    Ok(out)
-}
-
-/// Walk the exact probe schedule of [`find_margin`] — nominal, both
-/// span endpoints, then each side's bisection mids — but evaluate
-/// every round's unfinished-side mids as one lane-batched group. Probe
-/// *values* are bit-identical to the scalar search by construction
-/// (same float expressions on the same verdicts), so the scalar replay
-/// afterwards finds every probe memoized.
-fn prefill_bisection(
-    nominal: f64,
-    span: f64,
-    iters: u32,
-    probe_many: &mut ProbeMany<'_>,
-) -> Result<(), SimError> {
-    let bad_low = nominal * (1.0 - span);
-    let bad_high = nominal * (1.0 + span);
-    let first = probe_many(&[nominal, bad_low, bad_high])?;
-    if !first[0] {
-        return Ok(()); // replay will report the at-nominal failure
-    }
-    // (good, bad, still bisecting) per side.
-    let mut low = (nominal, bad_low, !first[1]);
-    let mut high = (nominal, bad_high, !first[2]);
-    for _ in 0..iters {
-        let mut vals: Vec<f64> = Vec::with_capacity(2);
-        if low.2 {
-            vals.push(0.5 * (low.0 + low.1));
-        }
-        if high.2 {
-            vals.push(0.5 * (high.0 + high.1));
-        }
-        if vals.is_empty() {
-            break;
-        }
-        let verdicts = probe_many(&vals)?;
-        let mut vi = 0;
-        if low.2 {
-            if verdicts[vi] {
-                low.0 = vals[vi];
-            } else {
-                low.1 = vals[vi];
-            }
-            vi += 1;
-        }
-        if high.2 {
-            if verdicts[vi] {
-                high.0 = vals[vi];
-            } else {
-                high.1 = vals[vi];
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The measured operating interval of one parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Margin {
@@ -257,14 +157,6 @@ where
 pub fn jtl_bias_margin() -> Result<Margin, SimError> {
     use crate::solver::{SimOptions, Solver};
     use crate::stdlib::{jtl_chain, JtlParams};
-    if crate::batch::batch_width() >= 2 {
-        // Best effort: fill the probe memo with lane-batched bisection
-        // rounds; any error reproduces on the authoritative scalar
-        // replay below.
-        let _ = prefill_bisection(0.72, 0.5, 6, &mut |vals| {
-            batched_cached_probes("jtl_bias", vals, &mut run_many_jtl_bias)
-        });
-    }
     find_margin(0.72, 0.5, 6, |bias| {
         cached_probe("jtl_bias", bias, |bias| {
             let p = JtlParams {
@@ -278,32 +170,6 @@ pub fn jtl_bias_margin() -> Result<Margin, SimError> {
     })
 }
 
-/// Lane-batched JTL bias probe: one [`crate::BatchedTransient`] over
-/// all requested bias values.
-fn run_many_jtl_bias(biases: &[f64]) -> Result<Vec<bool>, SimError> {
-    use crate::batch::BatchedTransient;
-    use crate::solver::SimOptions;
-    use crate::stdlib::{jtl_chain, JtlParams};
-    let mut stages = Vec::new();
-    let ckts: Vec<crate::Circuit> = biases
-        .iter()
-        .map(|&bias| {
-            let p = JtlParams {
-                bias_frac: bias,
-                ..Default::default()
-            };
-            let (ckt, s) = jtl_chain(4, &p);
-            stages = s;
-            ckt
-        })
-        .collect();
-    BatchedTransient::new(ckts, SimOptions::adaptive())?
-        .try_run(200e-12)
-        .into_iter()
-        .map(|r| r.map(|out| stages.iter().all(|j| out.pulse_count(*j) == 1)))
-        .collect()
-}
-
 /// Readout-bias margin of the default DFF cell: store-then-release
 /// must work and a clock without data must stay silent.
 ///
@@ -313,11 +179,6 @@ fn run_many_jtl_bias(biases: &[f64]) -> Result<Vec<bool>, SimError> {
 pub fn dff_bias_margin() -> Result<Margin, SimError> {
     use crate::solver::{SimOptions, Solver};
     use crate::stdlib::{dff, DffParams};
-    if crate::batch::batch_width() >= 2 {
-        let _ = prefill_bisection(0.5e-4, 0.6, 6, &mut |vals| {
-            batched_cached_probes("dff_bias_out", vals, &mut run_many_dff_bias)
-        });
-    }
     find_margin(0.5e-4, 0.6, 6, |bias| {
         cached_probe("dff_bias_out", bias, |bias| {
             let p = DffParams {
@@ -333,53 +194,6 @@ pub fn dff_bias_margin() -> Result<Margin, SimError> {
             Ok(stores && quiet)
         })
     })
-}
-
-/// Lane-batched DFF readout-bias probe: both testbenches (store +
-/// silent clock) batched over all requested bias values.
-fn run_many_dff_bias(biases: &[f64]) -> Result<Vec<bool>, SimError> {
-    use crate::batch::BatchedTransient;
-    use crate::solver::SimOptions;
-    use crate::stdlib::{dff, DffParams};
-    let params: Vec<DffParams> = biases
-        .iter()
-        .map(|&bias| DffParams {
-            bias_out: bias,
-            ..Default::default()
-        })
-        .collect();
-    let mut probes = None;
-    let store_ckts: Vec<crate::Circuit> = params
-        .iter()
-        .map(|p| {
-            let (ckt, pr) = dff(&[60e-12], &[100e-12], p);
-            probes = Some(pr);
-            ckt
-        })
-        .collect();
-    let store_probes = probes.take().ok_or(SimError::EmptyCircuit)?;
-    let quiet_ckts: Vec<crate::Circuit> = params
-        .iter()
-        .map(|p| {
-            let (ckt, pr) = dff(&[], &[100e-12], p);
-            probes = Some(pr);
-            ckt
-        })
-        .collect();
-    let quiet_probes = probes.ok_or(SimError::EmptyCircuit)?;
-    let stores = BatchedTransient::new(store_ckts, SimOptions::adaptive())?.try_run(160e-12);
-    let quiets = BatchedTransient::new(quiet_ckts, SimOptions::adaptive())?.try_run(160e-12);
-    stores
-        .into_iter()
-        .zip(quiets)
-        .map(|(s, q)| {
-            let s = s?;
-            let q = q?;
-            Ok(s.pulse_count(store_probes.input) == 1
-                && s.pulse_count(store_probes.output) == 1
-                && q.pulse_count(quiet_probes.output) == 0)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -440,32 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn prefill_schedule_covers_exactly_the_scalar_probe_values() {
-        // Synthetic verdict so the schedules can be compared without
-        // transients; works iff value in [0.78, 1.31].
-        let works = |v: f64| (0.78..=1.31).contains(&v);
-        let mut batched: Vec<u64> = Vec::new();
-        prefill_bisection(1.0, 0.5, 8, &mut |vals| {
-            batched.extend(vals.iter().map(|v| v.to_bits()));
-            Ok(vals.iter().map(|&v| works(v)).collect())
-        })
-        .expect("synthetic prefill");
-        let mut scalar: Vec<u64> = Vec::new();
-        find_margin(1.0, 0.5, 8, |v| {
-            scalar.push(v.to_bits());
-            Ok(works(v))
-        })
-        .expect("synthetic margin");
-        // The prefill interleaves the two sides' rounds, so order
-        // differs — but the probe-value *sets* must be bit-identical,
-        // which is what makes the scalar replay fully memoized.
-        batched.sort_unstable();
-        let mut scalar_sorted = scalar;
-        scalar_sorted.sort_unstable();
-        assert_eq!(batched, scalar_sorted);
-    }
-
-    #[test]
     fn jtl_has_double_digit_margins() {
         let m = jtl_bias_margin().expect("transient converges");
         // Measured earlier: the cell works from ~0.63·Ic upward.
@@ -473,6 +261,11 @@ mod tests {
             m.critical_fraction() > 0.1,
             "JTL critical margin {:.0}%",
             100.0 * m.critical_fraction()
+        );
+        // The scalar bisection's exact result.
+        assert_eq!(
+            (m.low.to_bits(), m.high.to_bits()),
+            (0x3fe4_28f5_c28f_5c29, 0x3fef_8000_0000_0000)
         );
     }
 
@@ -498,5 +291,11 @@ mod tests {
             100.0 * m.critical_fraction()
         );
         assert!(m.low < m.nominal && m.nominal < m.high);
+        // The scalar bisection's exact result: both ends of the ±60%
+        // search span work.
+        assert_eq!(
+            (m.low.to_bits(), m.high.to_bits()),
+            (0x3ef4_f8b5_88e3_68f1, 0x3f14_f8b5_88e3_68f1)
+        );
     }
 }

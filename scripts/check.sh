@@ -107,10 +107,12 @@ echo "== end-to-end output check (bench_e2e at its golden seed) =="
 # Whole-output conformance: the end-to-end benchmark digests every
 # simulated statistic of its passes and compares them with the golden
 # records committed in bench_e2e/golden/ (paper: all 20 run_all
-# artifacts; dse: the estimator and npusim path). Seed 1 is the golden
-# seed and --seconds 0 runs only the minimum pass count. The benchmark
-# exits 0 either way, so gate on its last line, a JSON summary.
-for workload in paper dse; do
+# artifacts; dse: the estimator and npusim path; mc_yield: every
+# sample's Monte-Carlo outcome on the lane-batched path). Seed 1 is
+# the golden seed and --seconds 0 runs only the minimum pass count.
+# The benchmark exits 0 either way, so gate on its last line, a JSON
+# summary.
+for workload in paper dse mc_yield; do
     summary="$(cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 0 | tail -n 1)"
     if ! grep -Eq '"correct": true, .*"failed": 0,' <<<"$summary"; then

@@ -6,7 +6,9 @@
 
 use dnn_models::{Layer, Network};
 use proptest::prelude::*;
-use sfq_faults::{draw_fault_plan, run_outcomes, Cell, Injection, McOptions, Outcome};
+use sfq_faults::{
+    draw_fault_plan, run_outcomes, yield_curve, Cell, Injection, McOptions, Outcome, YieldPoint,
+};
 use sfq_npu_sim::{simulate_network_with_fault_plan, SimConfig};
 
 /// Serialize the tests that reconfigure the global worker pool or
@@ -193,4 +195,48 @@ fn torn_checkpoint_write_never_corrupts_resume() {
     let resumed = run_outcomes(cell, sigma, seed, &opts).expect("resume from final checkpoint");
     assert_eq!(resumed, reference, "resume after atomic write is clean");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed `BENCH_faults.json` yield curves are reproduced
+/// exactly: `bench_faults`'s curve configuration (seed 42, 200 samples
+/// per point, one retry, a panic injected at sample 3 and a
+/// non-convergence at sample 7) rerun over its σ grid for every cell
+/// must give the same tally at every point. This covers the batched
+/// lane groups, the injected groups and the lone retried samples.
+#[test]
+fn bench_faults_yield_curves_match_the_committed_baseline() {
+    #[derive(serde::Deserialize)]
+    struct Baseline {
+        seed: u64,
+        samples_per_point: u32,
+        retries: u32,
+        curves: Vec<Vec<YieldPoint>>,
+    }
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_faults.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_faults.json is committed");
+    let baseline: Baseline = serde_json::from_str(&text).expect("BENCH_faults.json parses");
+    let (seed, samples, retries) = (42, 200, 1);
+    assert_eq!(
+        (baseline.seed, baseline.samples_per_point, baseline.retries),
+        (seed, samples, retries),
+        "the baseline was recorded with a different curve configuration"
+    );
+
+    let mut opts = McOptions::new(samples);
+    opts.retries = retries;
+    opts.injection = Injection {
+        panic_at: vec![3],
+        non_convergent_at: vec![7],
+    };
+    let sigmas = [0.02, 0.05, 0.10, 0.20, 0.35];
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let curves: Result<Vec<Vec<YieldPoint>>, _> = Cell::all()
+        .into_iter()
+        .map(|cell| yield_curve(cell, &sigmas, seed, &opts))
+        .collect();
+    std::panic::set_hook(hook);
+    let curves = curves.expect("harness survives injected failures");
+    assert_eq!(curves, baseline.curves);
 }
