@@ -292,8 +292,8 @@ type Verdict = Result<bool, SimError>;
 
 /// Run the testbenches of `draws` (all of one cell) phase by phase,
 /// each phase as one [`BatchedTransient`] over the draws that passed
-/// every earlier phase. A one-draw batch is the scalar golden path, so
-/// a lone sample and a lane group share this driver.
+/// every earlier phase. A one-draw batch runs on one lane, so a lone
+/// sample and a lane group share this function.
 ///
 /// # Errors
 ///

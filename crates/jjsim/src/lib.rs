@@ -16,8 +16,13 @@
 //! The solver performs modified nodal analysis with trapezoidal
 //! integration and Newton iteration per timestep; inductors and
 //! capacitors use standard companion models, so the whole system stays
-//! a dense node-voltage problem that a small Gaussian elimination
-//! handles comfortably for cell-scale circuits.
+//! a node-voltage problem. Cell-scale circuits are solved by dense
+//! Gaussian elimination with partial pivoting; chains of more than 24
+//! unknowns with a narrow band (JTLs, shift registers) by an LU on
+//! packed band storage that is reused across Newton iterations while
+//! the junction linearization holds still. One step loop serves both
+//! [`Solver`] (one circuit) and [`BatchedTransient`] (up to [`LANES`]
+//! perturbed copies of one netlist, advanced in SIMD lanes).
 //!
 //! An SFQ pulse is a 2π phase slip of a junction; [`SimResult`]
 //! exposes per-junction phase-slip (pulse) times, which is how delays
@@ -42,9 +47,9 @@
 
 pub mod batch;
 mod circuit;
+mod engine;
 mod error;
 pub mod extract;
-pub mod lanes;
 mod linalg;
 pub mod margins;
 pub mod netlist;
@@ -52,10 +57,9 @@ mod solver;
 pub mod stdlib;
 mod waveform;
 
-pub use batch::{batch_width, set_batch_width, BatchedTransient};
+pub use batch::{batch_width, set_batch_width, BatchedTransient, LANES};
 pub use circuit::{Circuit, ElementId, JjParams, NodeId};
 pub use error::SimError;
-pub use lanes::LANES;
 pub use netlist::{parse_netlist, NetlistError, ParsedNetlist};
 pub use solver::{transient_runs, SimOptions, SimResult, Solver, StepControl};
 pub use waveform::Waveform;

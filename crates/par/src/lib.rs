@@ -867,28 +867,6 @@ where
     par_map(&idx, |&i| deadline_one(items, i, budget, &f))
 }
 
-/// [`par_map_deadline`] with [`par_map_keyed`]'s cache-affine
-/// scheduling.
-pub fn par_map_deadline_keyed<T, R, F, K>(
-    items: &[T],
-    budget: &sfq_guard::RunBudget,
-    key: K,
-    f: F,
-) -> Vec<TaskOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    K: Fn(&T) -> u64,
-{
-    let idx: Vec<usize> = (0..items.len()).collect();
-    par_map_keyed(
-        &idx,
-        |&i| key(&items[i]),
-        |&i| deadline_one(items, i, budget, &f),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

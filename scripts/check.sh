@@ -80,18 +80,23 @@ target/release/bench_compare \
 echo "== batch SIMD codegen check =="
 # The lane LU factor kernel must compile to packed SSE arithmetic on
 # x86_64 release builds — the whole point of the [f64; LANES] layout.
-# Skipped where objdump is missing or the target is not x86_64.
+# The band LU is generic over the lane count; its LANES-wide
+# instantiation is inlined into the one `#[inline(never)]` symbol
+# jjsim::linalg::factor_band_lanes. The pattern matches exactly that
+# symbol's mangled name, so the one-lane instantiation (which has no
+# packed ops) can never stand in for it. Skipped where objdump is
+# missing or the target is not x86_64.
 if command -v objdump >/dev/null && [[ "$(uname -m)" == "x86_64" ]]; then
     # (awk must read to EOF — an early exit would SIGPIPE objdump
     # under `set -o pipefail`.)
     factor_asm="$(objdump -d target/release/bench_batch \
-        | awk '/<.*factor_banded_packed_lanes.*>:/{f=1} f&&/^$/{f=0} f{print}')"
+        | awk '/^[0-9a-f]+ <_ZN5jjsim6linalg17factor_band_lanes17h[0-9a-f]+E>:/{f=1} f&&/^$/{f=0} f{print}')"
     if [[ -z "$factor_asm" ]]; then
-        echo "batch SIMD check: factor_banded_packed_lanes symbol not found" >&2
+        echo "batch SIMD check: factor_band_lanes symbol not found" >&2
         exit 1
     fi
     if ! grep -Eq 'mulpd|subpd|divpd|vfmadd.*pd' <<<"$factor_asm"; then
-        echo "batch SIMD check: no packed double ops in factor_banded_packed_lanes" >&2
+        echo "batch SIMD check: no packed double ops in factor_band_lanes" >&2
         exit 1
     fi
 else
