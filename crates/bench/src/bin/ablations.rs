@@ -1,39 +1,5 @@
-//! Ablation study: what each §III design choice is worth at the
-//! architecture level (extension beyond the paper's figures — the
-//! paper argues these choices with circuit evidence; this quantifies
-//! them with the full simulator).
-
-use supernpu::ablations::all_ablations;
-use supernpu::report::{f, ratio, render_table};
+//! Ablation study: what each §III design choice is worth end-to-end.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("ablations");
-    supernpu_bench::header(
-        "Ablations",
-        "the §III design choices, quantified end-to-end",
-    );
-    let rows: Vec<Vec<String>> = all_ablations()
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.choice.clone(),
-                f(r.adopted_tmacs, 1),
-                f(r.alternative_tmacs, 1),
-                ratio(r.gain()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "design choice",
-                "adopted TMAC/s",
-                "alternative TMAC/s",
-                "gain"
-            ],
-            &rows
-        )
-    );
-    println!("each row keeps every other SuperNPU parameter fixed and swaps one decision.");
+    supernpu_bench::artifacts::main("ablations");
 }

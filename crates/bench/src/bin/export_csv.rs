@@ -1,22 +1,5 @@
-//! `export_csv` — write every figure's data series to `results/*.csv`,
-//! plot-ready for regenerating the paper's charts.
+//! `export_csv`: write every figure's data series to `results/*.csv`.
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let _session = supernpu_bench::session::begin("export_csv");
-    supernpu_bench::header("CSV export", "plot-ready series for every figure");
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("creating results/: {e}");
-        return ExitCode::FAILURE;
-    }
-    for d in supernpu::export::all_datasets() {
-        let path = format!("results/{}.csv", d.name);
-        if let Err(e) = std::fs::write(&path, &d.csv) {
-            eprintln!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path} ({} bytes)", d.csv.len());
-    }
-    ExitCode::SUCCESS
+fn main() {
+    supernpu_bench::artifacts::main("export_csv");
 }

@@ -1,60 +1,5 @@
-//! Extension study: SuperNPU against a broader field of CMOS
-//! accelerators (edge-class Eyeriss, the paper's TPU core, and a
-//! hypothetical next-generation datacenter NPU), plus the extension
-//! workloads (ResNet-18/101, a Transformer encoder, MLP-Mixer).
-
-use dnn_models::{zoo, zoo_ext, Network};
-use scale_sim::CmosNpuConfig;
-use sfq_npu_sim::simulate_network;
-use supernpu::designs::DesignPoint;
-use supernpu::report::{f, render_table};
+//! Extension: SuperNPU against a broader field of CMOS accelerators.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("ext_accelerators");
-    supernpu_bench::header("Extensions", "broader accelerators and workloads");
-
-    let cmos = [
-        CmosNpuConfig::eyeriss(),
-        CmosNpuConfig::tpu_core(),
-        CmosNpuConfig::datacenter_big(),
-    ];
-    let sfq = DesignPoint::SuperNpu.sim_config();
-
-    let mut nets: Vec<Network> = zoo::all();
-    nets.extend(zoo_ext::all_extensions());
-
-    let mut rows = Vec::new();
-    for net in &nets {
-        let mut row = vec![net.name().to_owned()];
-        for cfg in &cmos {
-            row.push(f(
-                scale_sim::simulate_network(cfg, net).effective_tmacs(),
-                2,
-            ));
-        }
-        let s = simulate_network(&sfq, net);
-        row.push(f(s.effective_tmacs(), 1));
-        row.push(f(
-            s.effective_tmacs() / scale_sim::simulate_network(&cmos[2], net).effective_tmacs(),
-            2,
-        ));
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "Eyeriss TMAC/s",
-                "TPU TMAC/s",
-                "BigCMOS TMAC/s",
-                "SuperNPU TMAC/s",
-                "vs BigCMOS",
-            ],
-            &rows
-        )
-    );
-    println!("SuperNPU holds a lead even over a 262 TMAC/s-peak CMOS design on conv-heavy");
-    println!("workloads; FC-heavy shapes (Transformer encoder) converge toward the");
-    println!("bandwidth roofline where every machine is equal.");
+    supernpu_bench::artifacts::main("ext_accelerators");
 }

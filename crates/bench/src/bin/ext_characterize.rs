@@ -1,68 +1,5 @@
-//! Extension: run the full characterization loop — transient circuit
-//! physics → measured cell library → architecture estimate — and
-//! compare against the shipped (paper-calibrated) library.
-
-use sfq_cells::{CellLibrary, GateKind};
-use sfq_estimator::{estimate, NpuConfig};
-use supernpu::report::{f, render_table};
+//! Extension: the characterization loop, transients to architecture estimate.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("ext_characterize");
-    supernpu_bench::header(
-        "Characterization loop",
-        "§IV-A.1's JSIM flow, executed end-to-end",
-    );
-    let measured = match sfq_chars::characterize() {
-        Ok(lib) => lib,
-        Err(e) => supernpu_bench::session::fail(format!("characterization failed: {e}")),
-    };
-    let reference = CellLibrary::aist_10um();
-
-    let mut rows = Vec::new();
-    for kind in [
-        GateKind::Jtl,
-        GateKind::Splitter,
-        GateKind::Dff,
-        GateKind::And,
-        GateKind::Xor,
-        GateKind::Ndro,
-    ] {
-        let m = measured.gate(kind);
-        let r = reference.gate(kind);
-        rows.push(vec![
-            format!("{kind:?}"),
-            f(m.delay_ps, 2),
-            f(r.delay_ps, 2),
-            f(m.energy_aj, 2),
-            f(r.energy_aj, 2),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "gate",
-                "measured delay ps",
-                "shipped delay ps",
-                "measured aJ",
-                "shipped aJ"
-            ],
-            &rows
-        )
-    );
-
-    let cfg = NpuConfig::paper_supernpu();
-    let from_measured = estimate(&cfg, &measured);
-    let from_shipped = estimate(&cfg, &reference);
-    println!(
-        "SuperNPU clock: {:.1} GHz from the measured library vs {:.1} GHz shipped",
-        from_measured.frequency_ghz, from_shipped.frequency_ghz
-    );
-    println!(
-        "SuperNPU static: {:.0} W measured vs {:.0} W shipped (RSFQ)",
-        from_measured.static_w, from_shipped.static_w
-    );
-    println!("\n(measured rows: JTL/splitter/DFF/AND from jjsim transients with bias-recharge");
-    println!("correction; remaining gates scaled from the measured AND as in real flows");
-    println!("where only part of a family has silicon-grade characterization.)");
+    supernpu_bench::artifacts::main("ext_characterize");
 }

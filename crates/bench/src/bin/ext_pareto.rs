@@ -1,69 +1,5 @@
-//! Extension: the performance/area Pareto frontier over the design
-//! grid, plus the latency/throughput batching curve — the deployment
-//! view of the paper's design choices.
-
-use dnn_models::zoo;
-use supernpu::latency::{knee, latency_curve};
-use supernpu::pareto::{evaluate_grid, pareto_front};
-use supernpu::report::{f, render_table};
+//! Extension: the performance/area Pareto front and the batching latency curve.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("ext_pareto");
-    supernpu_bench::header("Extensions", "Pareto frontier and batching latency");
-
-    println!("A. Performance vs area over the design grid (Pareto-optimal points):");
-    let grid = evaluate_grid();
-    let front = pareto_front(&grid);
-    let rows: Vec<Vec<String>> = front
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.clone(),
-                f(c.tmacs, 1),
-                f(c.area_mm2, 0),
-                f(c.tmacs / c.area_mm2, 2),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "candidate",
-                "geomean TMAC/s",
-                "area mm2 @28nm",
-                "TMAC/s per mm2"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "{} of {} candidates are Pareto-optimal; the paper's w64/r8 region is on the front.\n",
-        front.len(),
-        grid.len()
-    );
-
-    println!("B. Batching latency curve, ResNet-50 on SuperNPU:");
-    let cfg = supernpu::designs::DesignPoint::SuperNpu.sim_config();
-    let curve = latency_curve(&cfg, &zoo::resnet50());
-    let rows: Vec<Vec<String>> = curve
-        .iter()
-        .map(|p| {
-            vec![
-                p.batch.to_string(),
-                f(p.batch_latency_ms, 3),
-                f(p.images_per_s, 0),
-                f(p.tmacs, 1),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["batch", "latency ms", "images/s", "TMAC/s"], &rows)
-    );
-    let k = knee(&curve, 0.5);
-    println!(
-        "half the peak throughput arrives by batch {} at {:.3} ms latency.",
-        k.batch, k.batch_latency_ms
-    );
+    supernpu_bench::artifacts::main("ext_pareto");
 }

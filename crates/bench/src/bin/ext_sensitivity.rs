@@ -1,66 +1,5 @@
-//! Extension study: sensitivity of the headline result to memory
-//! bandwidth, junction scaling (paper footnote 2) and cooling
-//! temperature (§VI-C's 400× factor is a 4 K-specific number).
-
-use supernpu::report::{f, ratio, render_table};
-use supernpu::sensitivity::{bandwidth_sweep, cooling_sweep, process_sweep};
+//! Extension: bandwidth, junction-scaling and cooling sensitivity.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("ext_sensitivity");
-    supernpu_bench::header("Extensions", "bandwidth / process / cooling sensitivity");
-
-    println!("A. Off-chip bandwidth (both machines re-simulated):");
-    let rows: Vec<Vec<String>> = bandwidth_sweep()
-        .into_iter()
-        .map(|p| {
-            vec![
-                format!("{:.0}", p.bandwidth_gbs),
-                f(p.supernpu_tmacs, 1),
-                f(p.tpu_tmacs, 1),
-                ratio(p.speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["GB/s", "SuperNPU TMAC/s", "TPU TMAC/s", "speedup"], &rows)
-    );
-
-    println!("B. Junction scaling (clock ∝ 1/feature size down to 200 nm):");
-    let rows: Vec<Vec<String>> = process_sweep()
-        .into_iter()
-        .map(|p| {
-            vec![
-                format!("{:.2} um", p.feature_um),
-                f(p.frequency_ghz, 1),
-                f(p.supernpu_tmacs, 1),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["feature", "clock GHz", "SuperNPU TMAC/s"], &rows)
-    );
-    println!("the memory wall absorbs most of the extra clock — scaling junctions");
-    println!("without scaling the 300 GB/s link saturates quickly.\n");
-
-    println!("C. Cooling temperature (~18% of Carnot, the 4.2 K row = the paper's 400x):");
-    let rows: Vec<Vec<String>> = cooling_sweep(2.3, 16.7)
-        .into_iter()
-        .map(|p| {
-            vec![
-                format!("{:.1} K", p.temperature_k),
-                f(p.overhead, 0),
-                f(p.perf_per_watt_vs_tpu, 2),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["cold stage", "overhead (x)", "ERSFQ perf/W vs TPU"],
-            &rows
-        )
-    );
-    println!("rows above 5 K assume a hypothetical warmer superconducting logic.");
+    supernpu_bench::artifacts::main("ext_sensitivity");
 }

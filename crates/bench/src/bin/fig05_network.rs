@@ -1,50 +1,5 @@
-//! Fig. 5: on-chip network designs' critical-path delay and area vs
-//! PE-array width.
-
-use sfq_cells::CellLibrary;
-use sfq_estimator::netdesign::{fig5_sweep, NetworkDesign};
-use supernpu::report::{f, render_table};
-use supernpu_bench::report::die;
+//! Fig. 5: on-chip network designs' critical-path delay and area vs PE-array width.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig05_network");
-    supernpu_bench::header("Fig. 5", "network-unit comparison (§III-A)");
-    let lib = CellLibrary::aist_10um();
-    let points = fig5_sweep(8, &lib);
-
-    let mut rows = Vec::new();
-    for width in [4u32, 8, 16, 32, 64] {
-        let mut row = vec![width.to_string()];
-        for design in NetworkDesign::ALL {
-            let p = points
-                .iter()
-                .find(|p| p.width == width && p.design == design)
-                .unwrap_or_else(|| die(format!("fig5 sweep missing width {width} / {design:?}")));
-            row.push(f(p.critical_path_ps, 1));
-        }
-        for design in NetworkDesign::ALL {
-            let p = points
-                .iter()
-                .find(|p| p.width == width && p.design == design)
-                .unwrap_or_else(|| die(format!("fig5 sweep missing width {width} / {design:?}")));
-            row.push(f(p.area_mm2, 2));
-        }
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "width",
-                "2D-tree delay(ps)",
-                "1D-tree delay(ps)",
-                "systolic delay(ps)",
-                "2D-tree area(mm2)",
-                "1D-tree area(mm2)",
-                "systolic area(mm2)",
-            ],
-            &rows
-        )
-    );
-    println!("paper: 2D tree exceeds 800 ps at width 64; systolic is smallest in both axes.");
+    supernpu_bench::artifacts::main("fig05_network");
 }

@@ -1,52 +1,5 @@
-//! Fig. 7(c): feedback loops force counter-flow clocking and halve
-//! the frequency, for a full adder and a shift register — with the
-//! analytic model cross-checked against `jjsim` transient runs.
-
-use jjsim::extract::max_shift_frequency;
-use jjsim::stdlib::DffParams;
-use sfq_cells::CellLibrary;
-use sfq_estimator::clocking::feedback_comparison;
-use supernpu::report::{f, render_table};
+//! Fig. 7(c): feedback loops halve the frequency, cross-checked by `jjsim` transients.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig07_feedback");
-    supernpu_bench::header("Fig. 7(c)", "feedback-loop frequency impact (§III-B)");
-    let lib = CellLibrary::aist_10um();
-    let r = feedback_comparison(&lib);
-
-    let rows = vec![
-        vec![
-            "Full adder".to_owned(),
-            f(r.fa_feedforward_ghz, 1),
-            f(r.fa_feedback_ghz, 1),
-            "66 / 30".to_owned(),
-        ],
-        vec![
-            "Shift register".to_owned(),
-            f(r.sr_feedforward_ghz, 1),
-            f(r.sr_feedback_ghz, 1),
-            "133 / 71".to_owned(),
-        ],
-    ];
-    println!(
-        "{}",
-        render_table(
-            &[
-                "circuit",
-                "no feedback (GHz)",
-                "with feedback (GHz)",
-                "paper (GHz)"
-            ],
-            &rows
-        )
-    );
-
-    println!("cross-check: transient (jjsim) shift-register clock-rate limit…");
-    match max_shift_frequency(&DffParams::default(), 5.0, 50.0) {
-        Ok(fmax) => println!(
-            "  jjsim 3-stage shift register shifts correctly up to {:.1} GHz",
-            fmax / 1e9
-        ),
-        Err(e) => println!("  transient cross-check failed: {e}"),
-    }
+    supernpu_bench::artifacts::main("fig07_feedback");
 }

@@ -1,26 +1,5 @@
-//! Fig. 8: unique vs duplicated ifmap pixels under naïve per-weight-
-//! row buffering — the motivation for the data-alignment unit.
-
-use dnn_models::duplication::network_duplication;
-use dnn_models::zoo;
-use supernpu::report::{pct, render_table};
+//! Fig. 8: unique vs duplicated ifmap pixels under naïve buffering.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig08_duplication");
-    supernpu_bench::header("Fig. 8", "ifmap duplication breakdown (§III-C)");
-    let mut rows = Vec::new();
-    // The paper plots AlexNet, ResNet50 and VGG16; we print all six.
-    for net in zoo::all() {
-        let d = network_duplication(&net);
-        rows.push(vec![
-            net.name().to_owned(),
-            pct(1.0 - d.duplicated_ratio()),
-            pct(d.duplicated_ratio()),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(&["network", "unique pixels", "duplicated pixels"], &rows)
-    );
-    println!("paper: duplicated share is ~90%+ for AlexNet / ResNet50 / VGG16.");
+    supernpu_bench::artifacts::main("fig08_duplication");
 }

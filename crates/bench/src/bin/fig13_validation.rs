@@ -1,146 +1,5 @@
-//! Fig. 13: estimator validation against a lower-level golden model.
-//!
-//! The paper validates its estimator against a fabricated 4-bit MAC
-//! die and post-layout simulations. We do not have silicon, so the
-//! golden reference here is the `jjsim` transient circuit simulator
-//! (the same role JSIM plays in the paper's flow): per-cell delays,
-//! switching energies and the shift-register clock-rate limit are
-//! measured from transient runs and compared with the closed-form
-//! estimator/cell-library numbers.
-
-use jjsim::extract::{
-    and_clock_to_q, and_cycle_energy, dff_clock_to_q, dff_cycle_energy, jtl_characteristics,
-    max_shift_frequency, splitter_delay,
-};
-use jjsim::stdlib::{AndParams, DffParams, JtlParams};
-use sfq_cells::{CellLibrary, GateKind};
-use sfq_estimator::clocking::feedback_comparison;
-use sfq_estimator::{estimate, NpuConfig};
-use supernpu::report::{f, render_table};
-use supernpu_bench::report::die;
-
-fn err_pct(model: f64, golden: f64) -> String {
-    format!("{:+.1}%", 100.0 * (model - golden) / golden)
-}
+//! Fig. 13: estimator validation against `jjsim` transient testbenches.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig13_validation");
-    supernpu_bench::header("Fig. 13", "model validation (§IV-A.4)");
-    let lib = CellLibrary::aist_10um();
-
-    let fail =
-        |what: &str, e: jjsim::SimError| -> ! { die(format!("{what} transient failed: {e}")) };
-    let jtl = jtl_characteristics(8, &JtlParams::default()).unwrap_or_else(|e| fail("JTL", e));
-    let spl = splitter_delay(&JtlParams::default()).unwrap_or_else(|e| fail("splitter", e));
-    let dff_d = dff_clock_to_q(&DffParams::default()).unwrap_or_else(|e| fail("DFF", e));
-    let dff_e = dff_cycle_energy(&DffParams::default()).unwrap_or_else(|e| fail("DFF", e));
-    let sr_f = max_shift_frequency(&DffParams::default(), 5.0, 50.0)
-        .unwrap_or_else(|e| fail("shift-register", e));
-    let and_d = and_clock_to_q(&AndParams::default()).unwrap_or_else(|e| fail("AND", e));
-    let and_e = and_cycle_energy(&AndParams::default()).unwrap_or_else(|e| fail("AND", e));
-
-    let model_sr_ghz = feedback_comparison(&lib).sr_feedback_ghz;
-    let rows = vec![
-        vec![
-            "JTL stage delay (ps)".to_owned(),
-            f(lib.gate(GateKind::Jtl).delay_ps, 2),
-            f(jtl.delay_s * 1e12, 2),
-            err_pct(lib.gate(GateKind::Jtl).delay_ps, jtl.delay_s * 1e12),
-        ],
-        vec![
-            "Splitter delay (ps)".to_owned(),
-            f(lib.gate(GateKind::Splitter).delay_ps, 2),
-            f(spl * 1e12, 2),
-            err_pct(lib.gate(GateKind::Splitter).delay_ps, spl * 1e12),
-        ],
-        vec![
-            "DFF clock-to-Q (ps)".to_owned(),
-            f(lib.gate(GateKind::Dff).delay_ps, 2),
-            f(dff_d * 1e12, 2),
-            err_pct(lib.gate(GateKind::Dff).delay_ps, dff_d * 1e12),
-        ],
-        vec![
-            "AND clock-to-Q (ps)".to_owned(),
-            f(lib.gate(GateKind::And).delay_ps, 2),
-            f(and_d * 1e12, 2),
-            err_pct(lib.gate(GateKind::And).delay_ps, and_d * 1e12),
-        ],
-        {
-            // One clocked evaluate (the library's per-access figure):
-            // golden = shunt dissipation + bias recharge of the three
-            // switched junctions.
-            let bias_aj = 3.0 * 0.5e-4 * jjsim::PHI0 * 1e18;
-            let golden_aj = and_e * 1e18 + bias_aj;
-            vec![
-                "AND evaluate energy (aJ)".to_owned(),
-                f(lib.gate(GateKind::And).energy_aj, 2),
-                f(golden_aj, 2),
-                err_pct(lib.gate(GateKind::And).energy_aj, golden_aj),
-            ]
-        },
-        vec![
-            "SRmem max clock (GHz)".to_owned(),
-            f(model_sr_ghz, 1),
-            f(sr_f / 1e9, 1),
-            err_pct(model_sr_ghz, sr_f / 1e9),
-        ],
-        {
-            // The transient solver measures shunt dissipation only; a
-            // real switching event also recharges the cell's bias
-            // network by ~Φ0·I_bias per switched junction, which the
-            // characterized cell energies include. A JTL *cell* in the
-            // AIST library is two junction stages.
-            let bias_aj = 0.7e-4 * jjsim::PHI0 * 1e18;
-            let golden_cell_aj = 2.0 * (jtl.energy_j * 1e18 + bias_aj);
-            vec![
-                "JTL cell energy (aJ)".to_owned(),
-                f(lib.gate(GateKind::Jtl).energy_aj, 2),
-                f(golden_cell_aj, 2),
-                err_pct(lib.gate(GateKind::Jtl).energy_aj, golden_cell_aj),
-            ]
-        },
-        {
-            let bias_aj = 2.0 * 0.5e-4 * jjsim::PHI0 * 1e18;
-            let golden_aj = dff_e * 1e18 + bias_aj;
-            vec![
-                "DFF cycle energy (aJ)".to_owned(),
-                f(lib.gate(GateKind::Dff).energy_aj * 2.0, 2),
-                f(golden_aj, 2),
-                err_pct(lib.gate(GateKind::Dff).energy_aj * 2.0, golden_aj),
-            ]
-        },
-    ];
-    println!(
-        "{}",
-        render_table(
-            &["quantity", "estimator/library", "jjsim golden", "error"],
-            &rows
-        )
-    );
-
-    // Architecture level: the 2×2 4-bit PE-arrayed NPU of Fig. 12(c).
-    let tiny = NpuConfig {
-        name: "2x2 4-bit NPU".into(),
-        array_height: 2,
-        array_width: 2,
-        bits: 4,
-        regs_per_pe: 1,
-        ifmap_buf_bytes: 64,
-        output_buf_bytes: 64,
-        psum_buf_bytes: 64,
-        weight_buf_bytes: 16,
-        division: 1,
-        integrated_output: false,
-    };
-    let est = estimate(&tiny, &lib);
-    println!(
-        "architecture level: 2x2 4-bit NPU -> {:.1} GHz, {:.2} mW static, {:.3} mm^2 (1.0 um)",
-        est.frequency_ghz,
-        est.static_w * 1e3,
-        est.area_mm2_native
-    );
-    println!("paper: average model errors 5.6% (freq), 1.2% (power), 1.3% (area) at unit level,");
-    println!("validated against fabricated dies and post-layout extraction. Our golden is a");
-    println!("generic RCSJ transient testbench rather than the AIST layout, so the residuals");
-    println!("above are larger; see EXPERIMENTS.md for the discussion.");
+    supernpu_bench::artifacts::main("fig13_validation");
 }

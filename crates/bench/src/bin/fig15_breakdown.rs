@@ -1,18 +1,5 @@
 //! Fig. 15: Baseline's cycle breakdown — preparation dominates.
 
-use supernpu::evaluator::fig15_cycle_breakdown;
-use supernpu::report::{pct, render_table};
-
 fn main() {
-    let _session = supernpu_bench::session::begin("fig15_breakdown");
-    supernpu_bench::header("Fig. 15", "Baseline cycle breakdown (§V-A.2)");
-    let rows: Vec<Vec<String>> = fig15_cycle_breakdown()
-        .into_iter()
-        .map(|r| vec![r.network, pct(r.preparation), pct(r.computation)])
-        .collect();
-    println!(
-        "{}",
-        render_table(&["workload", "preparation", "computation"], &rows)
-    );
-    println!("paper: preparation above ~90% for every CNN workload.");
+    supernpu_bench::artifacts::main("fig15_breakdown");
 }

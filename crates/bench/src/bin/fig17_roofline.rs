@@ -1,39 +1,5 @@
 //! Fig. 17: the Baseline roofline — fast but idle computing units.
 
-use supernpu::evaluator::fig17_roofline;
-use supernpu::report::{f, pct, render_table};
-
 fn main() {
-    let _session = supernpu_bench::session::begin("fig17_roofline");
-    supernpu_bench::header("Fig. 17", "roofline / compute-intensity analysis (§V-A.3)");
-    let rows_data = fig17_roofline();
-    let peak = rows_data[0].peak_gmacs;
-    let rows: Vec<Vec<String>> = rows_data
-        .into_iter()
-        .map(|r| {
-            let util = r.roofline_gmacs / r.peak_gmacs;
-            vec![
-                r.network,
-                f(r.intensity_mac_per_byte, 1),
-                f(r.roofline_gmacs, 0),
-                f(r.effective_gmacs, 0),
-                pct(util),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "MAC/byte (b=1)",
-                "roofline GMAC/s",
-                "simulated GMAC/s",
-                "max PE util"
-            ],
-            &rows
-        )
-    );
-    println!("peak performance: {} GMAC/s", f(peak, 0));
-    println!("paper: single-batch roofline utilization stays below 2% — >98% of peak unreachable.");
+    supernpu_bench::artifacts::main("fig17_roofline");
 }

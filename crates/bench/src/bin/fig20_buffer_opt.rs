@@ -1,36 +1,5 @@
-//! Fig. 20: performance impact and area overhead of the buffer
-//! optimizations (integration + division).
-
-use supernpu::explore::fig20_buffer_sweep;
-use supernpu::report::{f, render_table};
+//! Fig. 20: performance and area of buffer integration and division.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig20_buffer_opt");
-    supernpu_bench::header("Fig. 20", "buffer integration/division sweep (§V-B.1)");
-    let rows: Vec<Vec<String>> = fig20_buffer_sweep()
-        .into_iter()
-        .map(|p| {
-            vec![
-                p.label,
-                f(p.single_batch, 2),
-                f(p.max_batch, 2),
-                f(p.area, 3),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "config",
-                "single-batch perf (xBaseline)",
-                "max-batch perf (xBaseline)",
-                "area (xBaseline)"
-            ],
-            &rows
-        )
-    );
-    println!("paper: single-batch saturates ~6.3x and max-batch ~20x from division 64;");
-    println!("       further division only inflates the mux/demux area.");
-    supernpu_bench::write_metrics();
+    supernpu_bench::artifacts::main("fig20_buffer_opt");
 }

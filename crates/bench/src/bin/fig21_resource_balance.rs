@@ -1,36 +1,5 @@
-//! Fig. 21: resource balancing — shrink the PE array width, reinvest
-//! the area in on-chip buffers.
-
-use supernpu::explore::fig21_resource_sweep;
-use supernpu::report::{f, render_table};
+//! Fig. 21: resource balancing — narrower PE array, larger buffers.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig21_resource_balance");
-    supernpu_bench::header("Fig. 21", "resource-balancing sweep (§V-B.2)");
-    let rows: Vec<Vec<String>> = fig21_resource_sweep()
-        .into_iter()
-        .map(|p| {
-            vec![
-                format!("{} , {} MB", p.width, p.buffer_mb),
-                f(p.max_batch_fixed_buffer, 1),
-                f(p.max_batch_added_buffer, 1),
-                f(p.intensity, 1),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "width, buffer",
-                "max-batch perf, 24 MB kept (xBaseline)",
-                "max-batch perf, added buffer (xBaseline)",
-                "compute intensity (xBaseline)",
-            ],
-            &rows
-        )
-    );
-    println!("paper: peaks near width 128 (47x) / 64 (42x); 64 has the intensity headroom");
-    println!("       that the register optimization of Fig. 22 converts into speed.");
-    supernpu_bench::write_metrics();
+    supernpu_bench::artifacts::main("fig21_resource_balance");
 }

@@ -1,36 +1,5 @@
-//! Fig. 22: performance impact of the number of weight registers per
-//! PE at array widths 64 and 128.
-
-use supernpu::explore::fig22_register_sweep;
-use supernpu::report::{f, render_table};
-use supernpu_bench::report::die;
+//! Fig. 22: performance vs weight registers per PE at widths 64 and 128.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig22_registers");
-    supernpu_bench::header("Fig. 22", "weight-registers-per-PE sweep (§V-B.3)");
-    let pts = fig22_register_sweep();
-    let mut rows = Vec::new();
-    for regs in [1u32, 2, 4, 8, 16, 32] {
-        let perf = |w: u32| {
-            pts.iter()
-                .find(|p| p.width == w && p.regs == regs)
-                .unwrap_or_else(|| die(format!("fig22 sweep missing width {w} / regs {regs}")))
-                .performance
-        };
-        rows.push(vec![regs.to_string(), f(perf(64), 1), f(perf(128), 1)]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "regs/PE",
-                "width 64 perf (xBaseline)",
-                "width 128 perf (xBaseline)"
-            ],
-            &rows
-        )
-    );
-    println!("paper: width 64 keeps improving up to 8 registers; width 128 is memory-");
-    println!("       bound and gains almost nothing — hence SuperNPU = width 64 + 8 regs.");
-    supernpu_bench::write_metrics();
+    supernpu_bench::artifacts::main("fig22_registers");
 }

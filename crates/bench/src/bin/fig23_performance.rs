@@ -1,46 +1,5 @@
-//! Fig. 23: the headline performance evaluation — every SFQ design
-//! point vs the TPU core across the six CNN workloads.
-
-use supernpu::designs::DesignPoint;
-use supernpu::evaluator::{average_speedup, fig23_performance};
-use supernpu::report::{f, render_table};
+//! Fig. 23: every SFQ design point vs the TPU core on six CNNs.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("fig23_performance");
-    supernpu_bench::header("Fig. 23", "performance evaluation (§VI-B)");
-    let rows_data = fig23_performance();
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for r in &rows_data {
-        rows.push(vec![
-            r.network.clone(),
-            f(r.tpu_tmacs, 1),
-            f(r.speedup(DesignPoint::Baseline), 2),
-            f(r.speedup(DesignPoint::BufferOpt), 2),
-            f(r.speedup(DesignPoint::ResourceOpt), 2),
-            f(r.speedup(DesignPoint::SuperNpu), 2),
-        ]);
-    }
-    let mut avg = vec!["geomean".to_owned(), "1.0".to_owned()];
-    for d in DesignPoint::SFQ_DESIGNS {
-        avg.push(f(average_speedup(&rows_data, d), 2));
-    }
-    rows.push(avg);
-
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "TPU TMAC/s",
-                "Baseline (x)",
-                "Buffer opt. (x)",
-                "Resource opt. (x)",
-                "SuperNPU (x)",
-            ],
-            &rows
-        )
-    );
-    println!("paper averages: Baseline 0.4x, Buffer opt. 7.7x, Resource opt. 17.3x, SuperNPU 23x;");
-    println!("MobileNet shows the largest SuperNPU speedup (~42x).");
+    supernpu_bench::artifacts::main("fig23_performance");
 }

@@ -1,20 +1,5 @@
-//! `full_report` — run every experiment and write one Markdown report
-//! to `results/report.md` (and stdout).
+//! `full_report`: every table and figure as one Markdown `results/report.md`.
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let _session = supernpu_bench::session::begin("full_report");
-    supernpu_bench::header("Full report", "every table and figure in one pass");
-    let report = supernpu::summary::full_report();
-    print!("{report}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/report.md", &report))
-    {
-        eprintln!("could not write results/report.md: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("\nwritten to results/report.md");
-    supernpu_bench::write_metrics();
-    ExitCode::SUCCESS
+fn main() {
+    supernpu_bench::artifacts::main("full_report");
 }

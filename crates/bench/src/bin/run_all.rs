@@ -1,57 +1,7 @@
-//! `run_all` — run every experiment regenerator in sequence (the
-//! paper's figures and tables, then the extension studies), exactly
-//! what a reviewer runs first.
+//! `run_all` — regenerate every paper artifact in one process, in
+//! presentation order: exactly what a reader runs first. Walks the
+//! `supernpu_bench::artifacts` table.
 
-use std::process::{Command, ExitCode};
-
-/// Every experiment binary, in presentation order.
-pub const EXPERIMENTS: &[&str] = &[
-    "fig05_network",
-    "fig07_feedback",
-    "fig08_duplication",
-    "fig13_validation",
-    "fig15_breakdown",
-    "fig17_roofline",
-    "fig20_buffer_opt",
-    "fig21_resource_balance",
-    "fig22_registers",
-    "fig23_performance",
-    "table1_setup",
-    "table2_batches",
-    "table3_power",
-    "ablations",
-    "ext_sensitivity",
-    "ext_accelerators",
-    "ext_characterize",
-    "ext_pareto",
-    "export_csv",
-    "full_report",
-];
-
-use supernpu_bench::report::die;
-
-fn main() -> ExitCode {
-    let _session = supernpu_bench::session::begin("run_all");
-    let me = std::env::current_exe()
-        .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
-    let dir = me
-        .parent()
-        .unwrap_or_else(|| die("executable has no parent directory"));
-    for name in EXPERIMENTS {
-        let bin = dir.join(name);
-        let status = Command::new(&bin).status();
-        match status {
-            Ok(s) if s.success() => println!(),
-            Ok(s) => {
-                eprintln!("{name} exited with {s}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("running {name}: {e} (build the workspace first: cargo build --release)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!("all {} experiments completed.", EXPERIMENTS.len());
-    ExitCode::SUCCESS
+fn main() {
+    supernpu_bench::artifacts::run_all();
 }

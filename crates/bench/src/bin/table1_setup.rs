@@ -1,47 +1,5 @@
-//! Table I: the evaluation setup, with estimator-derived frequency,
-//! peak performance and 28 nm-scaled area.
-
-use supernpu::evaluator::table1_setup;
-use supernpu::report::{f, render_table};
+//! Table I: the evaluation setup with estimator-derived frequency, peak and area.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("table1_setup");
-    supernpu_bench::header("Table I", "evaluation setup (§VI-A)");
-    let rows: Vec<Vec<String>> = table1_setup()
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.design,
-                format!("{}x{}", r.array.0, r.array.1),
-                f(r.ifmap_mb, 0),
-                f(r.output_mb, 0),
-                f(r.psum_mb, 0),
-                f(r.weight_kb, 0),
-                r.regs.to_string(),
-                f(r.frequency_ghz, 1),
-                f(r.peak_tmacs, 0),
-                f(r.area_mm2_28nm, 0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "design",
-                "array (WxH)",
-                "ifmap MB",
-                "output MB",
-                "psum MB",
-                "weight KB",
-                "regs",
-                "freq GHz",
-                "peak TMAC/s",
-                "area mm2 @28nm",
-            ],
-            &rows
-        )
-    );
-    println!("paper: SFQ designs at 52.6 GHz; peaks 3366 (256-wide) / 842 (64-wide) TMAC/s;");
-    println!("       areas ~283-299 mm2 when scaled to 28 nm (TPU core < 330 mm2).");
+    supernpu_bench::artifacts::main("table1_setup");
 }

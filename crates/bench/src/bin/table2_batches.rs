@@ -1,32 +1,5 @@
 //! Table II: the batch size each design runs each workload at.
 
-use supernpu::evaluator::table2_batches;
-use supernpu::report::render_table;
-
 fn main() {
-    let _session = supernpu_bench::session::begin("table2_batches");
-    supernpu_bench::header("Table II", "workload batch setup (§VI-A)");
-    let rows: Vec<Vec<String>> = table2_batches()
-        .into_iter()
-        .map(|r| {
-            let mut row = vec![r.network];
-            row.extend(r.batches.iter().map(ToString::to_string));
-            row
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "TPU",
-                "Baseline",
-                "Buffer opt.",
-                "Resource opt.",
-                "SuperNPU"
-            ],
-            &rows
-        )
-    );
-    println!("paper: Baseline = 1 everywhere; Buffer opt. 15/3/…/1; SuperNPU 30 (VGG16: 7).");
+    supernpu_bench::artifacts::main("table2_batches");
 }

@@ -1,26 +1,5 @@
-//! Table III: power and normalized performance-per-watt for RSFQ and
-//! ERSFQ SuperNPU, with and without the 400× cryocooling overhead.
-
-use supernpu::evaluator::table3_power;
-use supernpu::report::{f, render_table};
+//! Table III: RSFQ/ERSFQ power and perf/W, with and without cooling.
 
 fn main() {
-    let _session = supernpu_bench::session::begin("table3_power");
-    supernpu_bench::header("Table III", "power-efficiency evaluation (§VI-C)");
-    let rows: Vec<Vec<String>> = table3_power()
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.variant,
-                f(r.power_w, 2),
-                format!("{:.3}", r.perf_per_watt_vs_tpu),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["variant", "power (W)", "perf/W vs TPU"], &rows)
-    );
-    println!("paper: TPU 40 W / 1.0; RSFQ 964 W / 0.95 (0.002 cooled);");
-    println!("       ERSFQ 1.9 W / 490 (1.23 cooled).");
+    supernpu_bench::artifacts::main("table3_power");
 }

@@ -1,24 +1,21 @@
 //! # supernpu-bench
 //!
 //! Experiment regenerators for the SuperNPU reproduction: one binary
-//! per paper table/figure (`fig05_network`, …, `table3_power`) plus
-//! Criterion benchmarks of the simulator, estimator and transient
-//! circuit solver.
+//! per paper table, figure and extension study (`fig05_network`, …,
+//! `full_report`), each rendered from the one [`artifacts`] table, plus
+//! the bench gates and Criterion benchmarks of the simulator,
+//! estimator and transient circuit solver.
 //!
-//! Run everything with:
+//! Regenerate every artifact, in one process, with:
 //!
 //! ```text
-//! for b in fig05_network fig07_feedback fig08_duplication fig13_validation \
-//!          fig15_breakdown fig17_roofline fig20_buffer_opt \
-//!          fig21_resource_balance fig22_registers fig23_performance \
-//!          table1_setup table2_batches table3_power; do
-//!     cargo run -p supernpu-bench --release --bin $b
-//! done
+//! cargo run -p supernpu-bench --release --bin run_all
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifacts;
 pub mod gate;
 pub mod observatory;
 pub mod report;

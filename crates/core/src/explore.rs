@@ -417,38 +417,6 @@ pub fn fig22_register_sweep() -> Vec<RegisterSweepPoint> {
     collect_sweep("fig22", swept)
 }
 
-/// [`fig22_register_sweep`] under execution guards (see
-/// [`fig20_buffer_sweep_resilient`] for the ladder).
-///
-/// # Errors
-///
-/// Checkpoint-layer trouble only; see [`SweepError`].
-pub fn fig22_register_sweep_resilient(
-    opts: &ResilientOpts,
-) -> Result<SweepReport<RegisterSweepPoint>, SweepError> {
-    let _sweep = sfq_obs::span("explore.fig22.ms");
-    let _trace = sfq_obs::trace::span("sweep", "fig22 register sweep (resilient)");
-    let ctx = Fig22Ctx::new();
-    let grid = fig22_grid();
-    let eval = |i: usize| {
-        let (width, buffer_mb, regs) = grid[i];
-        ctx.point(width, buffer_mb, regs)
-    };
-    let ident: Vec<u64> = grid
-        .iter()
-        .map(|&(w, b, r)| (u64::from(w) << 40) | (b << 8) | u64::from(r))
-        .collect();
-    let eval = &eval;
-    run_resilient(
-        "fig22",
-        sweep_identity(&ident),
-        grid.len(),
-        opts,
-        eval,
-        Some(eval),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,6 @@ use sfq_npu_sim::SimConfig;
 use sfq_par::par_map_keyed;
 
 use crate::evaluator::{geomean_tmacs_over, paper_workloads};
-use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
 
 const MB: u64 = 1024 * 1024;
 
@@ -107,38 +106,6 @@ fn candidate(
         tmacs,
         area_mm2: est.area_mm2_28nm,
     }
-}
-
-/// [`evaluate_grid`] under execution guards: whole-grid
-/// deadline/cancel budget, retry-with-backoff, per-candidate terminal
-/// labels, and crash-safe checkpoint/resume, via
-/// [`crate::resilient::run_resilient`].
-///
-/// # Errors
-///
-/// Checkpoint-layer trouble only; see [`SweepError`].
-pub fn evaluate_grid_resilient(opts: &ResilientOpts) -> Result<SweepReport<Candidate>, SweepError> {
-    let _trace = sfq_obs::trace::span("sweep", "pareto grid (resilient)");
-    let points = grid_points();
-    let lib = CellLibrary::aist_10um();
-    let nets = paper_workloads();
-    let eval = |i: usize| {
-        let (width, buffer_mb, regs) = points[i];
-        candidate(&lib, &nets, width, buffer_mb, regs)
-    };
-    let ident: Vec<u64> = points
-        .iter()
-        .map(|&(w, b, r)| (u64::from(w) << 40) | (b << 8) | u64::from(r))
-        .collect();
-    let eval = &eval;
-    run_resilient(
-        "pareto_grid",
-        sweep_identity(&ident),
-        points.len(),
-        opts,
-        eval,
-        Some(eval),
-    )
 }
 
 /// Extract the Pareto-optimal subset (max throughput, min area),

@@ -18,7 +18,6 @@ use sfq_par::par_map;
 
 use crate::designs::DesignPoint;
 use crate::evaluator::{geomean, geomean_tmacs_over, paper_workloads};
-use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
 
 use sfq_npu_sim::SimConfig;
 
@@ -71,31 +70,6 @@ pub fn bandwidth_sweep() -> Vec<BandwidthPoint> {
     let _trace = sfq_obs::trace::span("sweep", "bandwidth sweep");
     let nets = paper_workloads();
     par_map(&BANDWIDTH_LINKS, |&bw| bandwidth_point(&nets, bw))
-}
-
-/// [`bandwidth_sweep`] under execution guards: budgeted, retried,
-/// labeled and checkpointable via
-/// [`crate::resilient::run_resilient`].
-///
-/// # Errors
-///
-/// Checkpoint-layer trouble only; see [`SweepError`].
-pub fn bandwidth_sweep_resilient(
-    opts: &ResilientOpts,
-) -> Result<SweepReport<BandwidthPoint>, SweepError> {
-    let _trace = sfq_obs::trace::span("sweep", "bandwidth sweep (resilient)");
-    let nets = paper_workloads();
-    let eval = |i: usize| bandwidth_point(&nets, BANDWIDTH_LINKS[i]);
-    let ident: Vec<u64> = BANDWIDTH_LINKS.iter().map(|b| b.to_bits()).collect();
-    let eval = &eval;
-    run_resilient(
-        "bandwidth",
-        sweep_identity(&ident),
-        BANDWIDTH_LINKS.len(),
-        opts,
-        eval,
-        Some(eval),
-    )
 }
 
 /// One process-node point.

@@ -12,8 +12,10 @@ cd "$(dirname "$0")/.."
 # sweep runner under deterministic fault injection (zero lost points,
 # bit-identical kill/resume, guards-disabled overhead parity).
 # --report runs the run-ledger smoke gate: two quick bin runs must
-# leave two well-formed manifests, supernpu_report must aggregate them
-# cleanly, and a synthetic slowdown must come out flagged REGRESSION.
+# leave two well-formed manifests, one run_all run must leave exactly
+# one more (listing results/report.md), supernpu_report must aggregate
+# them cleanly, and a synthetic slowdown must come out flagged
+# REGRESSION.
 RUN_BENCH=0
 RUN_CHAOS=0
 RUN_REPORT=0
@@ -54,6 +56,13 @@ echo "== cargo test -q --test profiling =="
 # profiler helpers must register no thread trees and record nothing,
 # and the fig20 sweep must be bit-identical with profiling on.
 cargo test -q --test profiling
+
+echo "== cargo test -q -p supernpu-bench --test artifact_outputs =="
+# Byte-for-byte artifact gate: the stdout of all 20 artifact binaries
+# and of run_all (default threads and one thread) against committed
+# FNV-1a digests, the written results/*.csv and results/report.md
+# against the committed files, and one ledger manifest per run_all.
+cargo test -q -p supernpu-bench --test artifact_outputs
 
 echo "== profiling smoke gate =="
 # Tiny profiled workload: the collapsed-stack export must be non-empty
@@ -164,7 +173,7 @@ if [[ $RUN_REPORT -eq 1 ]]; then
     # supernpu_report must join them into a trend group. Then a
     # synthetic two-run fixture with a huge slowdown must come out
     # flagged with the literal REGRESSION marker.
-    cargo build --release -p supernpu-bench --bin table1_setup --bin supernpu_report
+    cargo build --release -p supernpu-bench --bin table1_setup --bin run_all --bin supernpu_report
     repo="$(pwd)"
     ledger="$tmp/ledger"
     (cd "$tmp" && SUPERNPU_LEDGER="$ledger" "$repo/target/release/table1_setup" >/dev/null)
@@ -179,6 +188,19 @@ if [[ $RUN_REPORT -eq 1 ]]; then
         echo "ledger smoke: expected 2 ledger.jsonl lines, found $lines" >&2
         exit 1
     fi
+    # run_all regenerates every artifact in one process: exactly one
+    # new manifest, and it lists the report it wrote.
+    (cd "$tmp" && SUPERNPU_LEDGER="$ledger" "$repo/target/release/run_all" >/dev/null)
+    manifests="$(find "$ledger" -name '*.json' | wc -l)"
+    run_all_manifest="$(find "$ledger" -name 'run_all-*.json')"
+    if [[ "$manifests" -ne 3 || "$(wc -l <<<"$run_all_manifest")" -ne 1 ]]; then
+        echo "ledger smoke: run_all left $((manifests - 2)) new manifests, expected 1" >&2
+        exit 1
+    fi
+    grep -q '"results/report.md"' "$run_all_manifest" || {
+        echo "ledger smoke: run_all manifest does not list results/report.md" >&2
+        exit 1
+    }
     target/release/supernpu_report --ledger "$ledger" --out "$tmp" >/dev/null
     grep -q 'table1_setup' "$tmp/report.md" || {
         echo "ledger smoke: report.md has no table1_setup trend" >&2
