@@ -30,6 +30,7 @@ use serde_json::Value;
 use sfq_guard::{chaos, CancelToken, RunBudget};
 use supernpu::explore::{fig20_buffer_sweep, fig20_buffer_sweep_resilient};
 use supernpu::resilient::{ResilientOpts, SweepReport};
+use supernpu_bench::clear_caches;
 use supernpu_bench::report::{die, to_json_pretty, write_report};
 
 /// Seed for the chaos harness: deterministic, so the injected
@@ -50,11 +51,6 @@ const OVERHEAD_REPS: usize = 10;
 
 fn json_of<T: Serialize>(what: &str, value: &T) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| die(format!("serialize {what}: {e}")))
-}
-
-fn clear_caches() {
-    sfq_estimator::clear_estimate_cache();
-    sfq_chars::clear_measure_cache();
 }
 
 /// Best-of-`passes` wall clock of `reps` back-to-back runs (caches

@@ -3,10 +3,10 @@
 //! the full worker pool, verify the outputs are bit-identical, and
 //! write the measurements to `BENCH_sweeps.json`.
 //!
-//! The memo caches (estimator, characterization) are cleared before
-//! every timed run so each configuration pays the same cold-start
-//! cost; without that, whichever run goes second would win on cache
-//! hits rather than on parallelism.
+//! The memo caches (results, estimator, characterization) are cleared
+//! before every timed run so each configuration pays the same
+//! cold-start cost; without that, whichever run goes second would win
+//! on cache hits rather than on parallelism.
 //!
 //! Metrics are force-enabled for the whole run: every sweep row in
 //! `BENCH_sweeps.json` carries the memo-cache hit/miss counts of its
@@ -55,8 +55,7 @@ fn timed(run: &dyn Fn() -> String, threads: usize) -> (String, f64) {
     let mut best = f64::INFINITY;
     let mut out = String::new();
     for _ in 0..3 {
-        sfq_estimator::clear_estimate_cache();
-        sfq_chars::clear_measure_cache();
+        supernpu_bench::clear_caches();
         let t0 = Instant::now();
         out = run();
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
@@ -67,6 +66,7 @@ fn timed(run: &dyn Fn() -> String, threads: usize) -> (String, f64) {
 fn bench(name: &'static str, run: &dyn Fn() -> String, pool: usize) -> SweepResult {
     // Warm-up pass so page faults and lazy statics land outside the
     // measured window.
+    supernpu_bench::clear_caches();
     let _ = run();
     // Fresh counters per sweep so the snapshot is attributable to it.
     sfq_obs::reset();

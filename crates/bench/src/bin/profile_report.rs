@@ -105,8 +105,10 @@ fn main() {
         banded_transient(40, 120e-12);
         "smoke: estimator point + short banded transient"
     } else {
+        // Cold memos: the sweep computes (nothing in it characterizes)
+        // and the characterization runs from scratch.
+        supernpu_bench::clear_caches();
         supernpu::explore::fig20_buffer_sweep();
-        sfq_chars::clear_measure_cache();
         sfq_chars::characterize()
             .unwrap_or_else(|e| die(format!("stdlib characterization failed: {e}")));
         sfq_chars::measure().unwrap_or_else(|e| die(format!("cached measurement failed: {e}"))); // cache hit

@@ -27,6 +27,17 @@ pub fn header(id: &str, paper_ref: &str) {
     println!();
 }
 
+/// Empty every process-wide memo a timed run could be served from:
+/// the result memo, the estimate memo and the characterization memos
+/// (which also drop the memoized transients). The bench harnesses call
+/// this before each timed run, so every run pays the same cold cost
+/// and none of them times memo lookups.
+pub fn clear_caches() {
+    supernpu::clear_result_cache();
+    sfq_estimator::clear_estimate_cache();
+    sfq_chars::clear_measure_cache();
+}
+
 /// Write `results/metrics.json` from the live [`sfq_obs`] registry.
 /// No-op unless metrics are enabled (`SUPERNPU_METRICS=1`), so the
 /// experiment binaries can call this unconditionally at the end of

@@ -16,6 +16,7 @@ use sfq_par::par_map;
 
 use crate::designs::DesignPoint;
 use crate::evaluator::{geomean, geomean_tmacs_over, paper_workloads};
+use crate::results::memoized;
 
 /// One ablation row: the design choice, the alternative, and the
 /// geomean throughput with each.
@@ -162,16 +163,19 @@ pub fn ablation_bitserial() -> AblationRow {
 }
 
 /// Run all five ablations, fanned out across threads (each ablation is
-/// independent; results keep this fixed order).
+/// independent; results keep this fixed order). Computed once per
+/// process.
 pub fn all_ablations() -> Vec<AblationRow> {
-    let runs: [fn() -> AblationRow; 5] = [
-        ablation_dataflow,
-        ablation_network,
-        ablation_dau,
-        ablation_clocking,
-        ablation_bitserial,
-    ];
-    par_map(&runs, |run| run())
+    memoized("all_ablations", || {
+        let runs: [fn() -> AblationRow; 5] = [
+            ablation_dataflow,
+            ablation_network,
+            ablation_dau,
+            ablation_clocking,
+            ablation_bitserial,
+        ];
+        (par_map(&runs, |run| run()), true)
+    })
 }
 
 #[cfg(test)]

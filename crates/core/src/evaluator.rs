@@ -11,6 +11,7 @@ use sfq_npu_sim::{simulate_network, simulate_network_with_batch, structural_max_
 use sfq_par::par_map;
 
 use crate::designs::DesignPoint;
+use crate::results::memoized;
 
 /// The six evaluation workloads.
 pub fn paper_workloads() -> Vec<Network> {
@@ -67,16 +68,20 @@ pub struct Fig15Row {
 }
 
 /// Baseline's preparation-vs-computation cycle breakdown (Fig. 15).
+/// Computed once per process.
 pub fn fig15_cycle_breakdown() -> Vec<Fig15Row> {
-    let cfg = DesignPoint::Baseline.sim_config();
-    par_map(&paper_workloads(), |net| {
-        let s = simulate_network(&cfg, net);
-        let prep = s.prep_fraction();
-        Fig15Row {
-            network: net.name().to_owned(),
-            preparation: prep,
-            computation: 1.0 - prep,
-        }
+    memoized("fig15_cycle_breakdown", || {
+        let cfg = DesignPoint::Baseline.sim_config();
+        let rows = par_map(&paper_workloads(), |net| {
+            let s = simulate_network(&cfg, net);
+            let prep = s.prep_fraction();
+            Fig15Row {
+                network: net.name().to_owned(),
+                preparation: prep,
+                computation: 1.0 - prep,
+            }
+        });
+        (rows, true)
     })
 }
 
@@ -98,21 +103,24 @@ pub struct Fig17Row {
 }
 
 /// The Baseline roofline analysis (Fig. 17): single-batch intensity vs
-/// attainable and achieved GMAC/s.
+/// attainable and achieved GMAC/s. Computed once per process.
 pub fn fig17_roofline() -> Vec<Fig17Row> {
-    let cfg = DesignPoint::Baseline.sim_config();
-    let peak = estimate(&cfg.npu, &CellLibrary::aist_10um()).peak_tmacs * 1e12;
-    let bw = cfg.mem_bandwidth_gbs * 1e9;
-    par_map(&paper_workloads(), |net| {
-        let i = intensity::network_intensity(net, 1);
-        let s = simulate_network_with_batch(&cfg, net, 1);
-        Fig17Row {
-            network: net.name().to_owned(),
-            intensity_mac_per_byte: i,
-            roofline_gmacs: intensity::roofline_macs_per_s(peak, bw, i) / 1e9,
-            effective_gmacs: s.effective_tmacs() * 1e3,
-            peak_gmacs: peak / 1e9,
-        }
+    memoized("fig17_roofline", || {
+        let cfg = DesignPoint::Baseline.sim_config();
+        let peak = estimate(&cfg.npu, &CellLibrary::aist_10um()).peak_tmacs * 1e12;
+        let bw = cfg.mem_bandwidth_gbs * 1e9;
+        let rows = par_map(&paper_workloads(), |net| {
+            let i = intensity::network_intensity(net, 1);
+            let s = simulate_network_with_batch(&cfg, net, 1);
+            Fig17Row {
+                network: net.name().to_owned(),
+                intensity_mac_per_byte: i,
+                roofline_gmacs: intensity::roofline_macs_per_s(peak, bw, i) / 1e9,
+                effective_gmacs: s.effective_tmacs() * 1e3,
+                peak_gmacs: peak / 1e9,
+            }
+        });
+        (rows, true)
     })
 }
 
@@ -147,23 +155,27 @@ impl Fig23Row {
 
 /// The headline performance evaluation (Fig. 23): every SFQ design
 /// against the TPU core on all six workloads, at Table II batches.
+/// Computed once per process.
 pub fn fig23_performance() -> Vec<Fig23Row> {
-    let tpu = CmosNpuConfig::tpu_core();
-    let sfq_cfgs: Vec<_> = DesignPoint::SFQ_DESIGNS
-        .iter()
-        .map(|d| d.sim_config())
-        .collect();
-    par_map(&paper_workloads(), |net| {
-        let tpu_tmacs = simulate_tpu(&tpu, net).effective_tmacs();
-        let mut sfq = [0.0f64; 4];
-        for (slot, cfg) in sfq_cfgs.iter().enumerate() {
-            sfq[slot] = simulate_network(cfg, net).effective_tmacs();
-        }
-        Fig23Row {
-            network: net.name().to_owned(),
-            tpu_tmacs,
-            sfq_tmacs: sfq,
-        }
+    memoized("fig23_performance", || {
+        let tpu = CmosNpuConfig::tpu_core();
+        let sfq_cfgs: Vec<_> = DesignPoint::SFQ_DESIGNS
+            .iter()
+            .map(|d| d.sim_config())
+            .collect();
+        let rows = par_map(&paper_workloads(), |net| {
+            let tpu_tmacs = simulate_tpu(&tpu, net).effective_tmacs();
+            let mut sfq = [0.0f64; 4];
+            for (slot, cfg) in sfq_cfgs.iter().enumerate() {
+                sfq[slot] = simulate_network(cfg, net).effective_tmacs();
+            }
+            Fig23Row {
+                network: net.name().to_owned(),
+                tpu_tmacs,
+                sfq_tmacs: sfq,
+            }
+        });
+        (rows, true)
     })
 }
 
@@ -284,49 +296,52 @@ pub struct Table3Row {
 
 /// The power-efficiency evaluation (Table III): RSFQ and ERSFQ
 /// SuperNPU, with and without the 400× cooling overhead, against the
-/// 40 W TPU core.
+/// 40 W TPU core. Computed once per process.
 pub fn table3_power() -> Vec<Table3Row> {
-    let cooling = cryo::CoolingModel::holmes_4k();
-    let tpu = CmosNpuConfig::tpu_core();
-    let nets = paper_workloads();
+    memoized("table3_power", || {
+        let cooling = cryo::CoolingModel::holmes_4k();
+        let tpu = CmosNpuConfig::tpu_core();
+        let nets = paper_workloads();
 
-    // Average TPU throughput and SuperNPU throughput/power across the
-    // workloads.
-    let tpu_tmacs = par_map(&nets, |n| simulate_tpu(&tpu, n).effective_tmacs());
-    let tpu_perf = geomean(&tpu_tmacs);
-    let tpu_eff = cryo::PowerEfficiency::new(tpu_perf, tpu.chip_power_w);
+        // Average TPU throughput and SuperNPU throughput/power across the
+        // workloads.
+        let tpu_tmacs = par_map(&nets, |n| simulate_tpu(&tpu, n).effective_tmacs());
+        let tpu_perf = geomean(&tpu_tmacs);
+        let tpu_eff = cryo::PowerEfficiency::new(tpu_perf, tpu.chip_power_w);
 
-    let mut rows = vec![Table3Row {
-        variant: "TPU".into(),
-        power_w: tpu.chip_power_w,
-        perf_per_watt_vs_tpu: 1.0,
-    }];
+        let mut rows = vec![Table3Row {
+            variant: "TPU".into(),
+            power_w: tpu.chip_power_w,
+            perf_per_watt_vs_tpu: 1.0,
+        }];
 
-    for bias in [BiasScheme::Rsfq, BiasScheme::Ersfq] {
-        let cfg = DesignPoint::SuperNpu.sim_config().with_bias(bias);
-        let stats = par_map(&nets, |n| simulate_network(&cfg, n));
-        let perf = geomean(
-            &stats
-                .iter()
-                .map(|s| s.effective_tmacs())
-                .collect::<Vec<_>>(),
-        );
-        let chip_w: f64 = stats.iter().map(|s| s.total_power_w()).sum::<f64>() / stats.len() as f64;
-        for (cooled, label) in [(false, "w/o cooling"), (true, "w/ cooling")] {
-            let power = if cooled {
-                cooling.wall_power_w(chip_w)
-            } else {
-                chip_w
-            };
-            let eff = cryo::PowerEfficiency::new(perf, power);
-            rows.push(Table3Row {
-                variant: format!("{bias}-SuperNPU ({label})"),
-                power_w: power,
-                perf_per_watt_vs_tpu: eff.relative_to(&tpu_eff),
-            });
+        for bias in [BiasScheme::Rsfq, BiasScheme::Ersfq] {
+            let cfg = DesignPoint::SuperNpu.sim_config().with_bias(bias);
+            let stats = par_map(&nets, |n| simulate_network(&cfg, n));
+            let perf = geomean(
+                &stats
+                    .iter()
+                    .map(|s| s.effective_tmacs())
+                    .collect::<Vec<_>>(),
+            );
+            let chip_w: f64 =
+                stats.iter().map(|s| s.total_power_w()).sum::<f64>() / stats.len() as f64;
+            for (cooled, label) in [(false, "w/o cooling"), (true, "w/ cooling")] {
+                let power = if cooled {
+                    cooling.wall_power_w(chip_w)
+                } else {
+                    chip_w
+                };
+                let eff = cryo::PowerEfficiency::new(perf, power);
+                rows.push(Table3Row {
+                    variant: format!("{bias}-SuperNPU ({label})"),
+                    power_w: power,
+                    perf_per_watt_vs_tpu: eff.relative_to(&tpu_eff),
+                });
+            }
         }
-    }
-    rows
+        (rows, true)
+    })
 }
 
 #[cfg(test)]

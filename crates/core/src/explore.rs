@@ -9,19 +9,27 @@ use sfq_par::{par_map_catch, par_map_catch_keyed};
 
 use crate::evaluator::{geomean, geomean_tmacs_over, paper_workloads};
 use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
+use crate::results::memoized;
 
 const MB: u64 = 1024 * 1024;
 
 /// Collect a crash-isolated sweep: a panicking point is dropped (and
 /// counted under `explore.points_lost`) instead of taking the whole
-/// sweep down. Deterministic: which points survive depends only on the
-/// inputs, never on the schedule.
-fn collect_sweep<P>(sweep: &'static str, results: Vec<Result<P, sfq_par::TaskPanic>>) -> Vec<P> {
+/// sweep down. Returns the surviving points and whether the sweep is
+/// complete (no point lost), which decides whether the result memo
+/// may keep it. Deterministic: which points survive depends only on
+/// the inputs, never on the schedule.
+fn collect_sweep<P>(
+    sweep: &'static str,
+    results: Vec<Result<P, sfq_par::TaskPanic>>,
+) -> (Vec<P>, bool) {
     let mut out = Vec::with_capacity(results.len());
+    let mut complete = true;
     for r in results {
         match r {
             Ok(p) => out.push(p),
             Err(e) => {
+                complete = false;
                 sfq_obs::inc("explore.points_lost");
                 sfq_obs::log(sfq_obs::Level::Warn, || {
                     format!("{sweep}: sweep point lost: {e}")
@@ -29,7 +37,7 @@ fn collect_sweep<P>(sweep: &'static str, results: Vec<Result<P, sfq_par::TaskPan
             }
         }
     }
-    out
+    (out, complete)
 }
 
 /// Geomean effective TMAC/s of a config across the six workloads.
@@ -130,19 +138,23 @@ impl Fig20Ctx {
 
 /// The buffer-optimization sweep (Fig. 20): buffer integration, then
 /// increasing division degrees, in performance (single and max batch)
-/// and area, all normalized to Baseline.
+/// and area, all normalized to Baseline. Computed once per process
+/// (unless a point is lost).
 pub fn fig20_buffer_sweep() -> Vec<BufferSweepPoint> {
-    let _sweep = sfq_obs::span("explore.fig20.ms");
-    let _prof = sfq_obs::prof::frame("explore.fig20");
-    let _trace = sfq_obs::trace::span("sweep", "fig20 buffer sweep");
-    sfq_obs::log(sfq_obs::Level::Info, || {
-        "fig20: buffer-division sweep starting".into()
-    });
-    let ctx = Fig20Ctx::new();
-    let swept = par_map_catch(&FIG20_DIVISIONS, |&division| ctx.point(division));
-    let mut points = vec![Fig20Ctx::baseline_point()];
-    points.extend(collect_sweep("fig20", swept));
-    points
+    memoized("fig20_buffer_sweep", || {
+        let _sweep = sfq_obs::span("explore.fig20.ms");
+        let _prof = sfq_obs::prof::frame("explore.fig20");
+        let _trace = sfq_obs::trace::span("sweep", "fig20 buffer sweep");
+        sfq_obs::log(sfq_obs::Level::Info, || {
+            "fig20: buffer-division sweep starting".into()
+        });
+        let ctx = Fig20Ctx::new();
+        let swept = par_map_catch(&FIG20_DIVISIONS, |&division| ctx.point(division));
+        let (swept, complete) = collect_sweep("fig20", swept);
+        let mut points = vec![Fig20Ctx::baseline_point()];
+        points.extend(swept);
+        (points, complete)
+    })
 }
 
 /// [`fig20_buffer_sweep`] under execution guards: deadline/cancel
@@ -280,18 +292,21 @@ impl Fig21Ctx {
 /// The resource-balancing sweep (Fig. 21): shrink the PE-array width,
 /// reinvest the area into buffer capacity (the paper's capacity
 /// schedule), and measure max-batch performance and intensity.
+/// Computed once per process (unless a point is lost).
 pub fn fig21_resource_sweep() -> Vec<ResourceSweepPoint> {
-    let _sweep = sfq_obs::span("explore.fig21.ms");
-    let _prof = sfq_obs::prof::frame("explore.fig21");
-    let _trace = sfq_obs::trace::span("sweep", "fig21 resource sweep");
-    sfq_obs::log(sfq_obs::Level::Info, || {
-        "fig21: resource-balancing sweep starting".into()
-    });
-    let ctx = Fig21Ctx::new();
-    let swept = par_map_catch(&FIG21_SCHEDULE, |&(width, buffer_mb)| {
-        ctx.point(width, buffer_mb)
-    });
-    collect_sweep("fig21", swept)
+    memoized("fig21_resource_sweep", || {
+        let _sweep = sfq_obs::span("explore.fig21.ms");
+        let _prof = sfq_obs::prof::frame("explore.fig21");
+        let _trace = sfq_obs::trace::span("sweep", "fig21 resource sweep");
+        sfq_obs::log(sfq_obs::Level::Info, || {
+            "fig21: resource-balancing sweep starting".into()
+        });
+        let ctx = Fig21Ctx::new();
+        let swept = par_map_catch(&FIG21_SCHEDULE, |&(width, buffer_mb)| {
+            ctx.point(width, buffer_mb)
+        });
+        collect_sweep("fig21", swept)
+    })
 }
 
 /// [`fig21_resource_sweep`] under execution guards (see
@@ -395,26 +410,29 @@ impl Fig22Ctx {
 }
 
 /// The per-PE register sweep (Fig. 22) at widths 64 and 128 with the
-/// Fig. 21 "added buffer" capacities.
+/// Fig. 21 "added buffer" capacities. Computed once per process
+/// (unless a point is lost).
 pub fn fig22_register_sweep() -> Vec<RegisterSweepPoint> {
-    let _sweep = sfq_obs::span("explore.fig22.ms");
-    let _prof = sfq_obs::prof::frame("explore.fig22");
-    let _trace = sfq_obs::trace::span("sweep", "fig22 register sweep");
-    sfq_obs::log(sfq_obs::Level::Info, || {
-        "fig22: per-PE register sweep starting".into()
-    });
-    let ctx = Fig22Ctx::new();
-    let grid = fig22_grid();
-    // Keyed by array width: every point of one width shares the same
-    // characterization and estimate-cache working set, so steering a
-    // width's points to one worker keeps those cache lines (and the
-    // memo scans) warm instead of bouncing them between threads.
-    let swept = par_map_catch_keyed(
-        &grid,
-        |&(width, _, _)| u64::from(width),
-        |&(width, buffer_mb, regs)| ctx.point(width, buffer_mb, regs),
-    );
-    collect_sweep("fig22", swept)
+    memoized("fig22_register_sweep", || {
+        let _sweep = sfq_obs::span("explore.fig22.ms");
+        let _prof = sfq_obs::prof::frame("explore.fig22");
+        let _trace = sfq_obs::trace::span("sweep", "fig22 register sweep");
+        sfq_obs::log(sfq_obs::Level::Info, || {
+            "fig22: per-PE register sweep starting".into()
+        });
+        let ctx = Fig22Ctx::new();
+        let grid = fig22_grid();
+        // Keyed by array width: every point of one width shares the same
+        // characterization and estimate-cache working set, so steering a
+        // width's points to one worker keeps those cache lines (and the
+        // memo scans) warm instead of bouncing them between threads.
+        let swept = par_map_catch_keyed(
+            &grid,
+            |&(width, _, _)| u64::from(width),
+            |&(width, buffer_mb, regs)| ctx.point(width, buffer_mb, regs),
+        );
+        collect_sweep("fig22", swept)
+    })
 }
 
 #[cfg(test)]

@@ -22,6 +22,11 @@
 //! * [`report`] — plain-text table rendering used by the `bench`
 //!   binaries.
 //!
+//! The argument-free result functions that run the cycle simulator
+//! (Figs. 15, 17, 20–23, Table III and the ablations) are computed once
+//! per process and then served from a memo; [`clear_result_cache`]
+//! empties it.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -47,7 +52,9 @@ pub mod latency;
 pub mod pareto;
 pub mod report;
 pub mod resilient;
+mod results;
 pub mod sensitivity;
 pub mod summary;
 
 pub use designs::DesignPoint;
+pub use results::clear_result_cache;

@@ -24,8 +24,10 @@ fn md_table(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
     let _ = writeln!(out);
 }
 
-/// Generate the full Markdown report. Runs every evaluation function
-/// (tens of milliseconds in release builds).
+/// Generate the full Markdown report from every evaluation function.
+/// The eight that simulate are memoized per process, so after the
+/// artifacts that compute them have run (as in `run_all`) this only
+/// renders; in a cold process it computes them first.
 pub fn full_report() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# SuperNPU reproduction — full report\n");

@@ -31,6 +31,7 @@ fn items(n: usize) -> Vec<u64> {
 /// labels: every task completes and the values match the plain path.
 #[test]
 fn unlimited_deadline_dispatch_matches_par_map() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let xs = items(64);
     let plain = sfq_par::par_map(&xs, |&x| x * x);
     let guarded = par_map_deadline(&xs, &RunBudget::unlimited(), |&x| x * x);
@@ -48,6 +49,7 @@ fn unlimited_deadline_dispatch_matches_par_map() {
 /// outcomes, not panics or hangs.
 #[test]
 fn cancel_and_deadline_surface_as_typed_outcomes() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let xs = items(16);
     let token = CancelToken::new();
     token.cancel();
@@ -237,6 +239,38 @@ fn chaos_sweep_loses_no_points() {
     assert_eq!(chaotic.values(), clean.values());
 }
 
+/// The result memo keeps only complete sweeps: a plain fig20 sweep
+/// that loses a point to chaos injection is returned short but not
+/// stored, so the next call, with chaos off, computes all eight points
+/// again, bit-identical to a cold serial run.
+#[test]
+fn chaos_lost_sweep_point_is_not_memoized() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    // Seed 42 injects a panic into the last of fig20's seven swept
+    // division points (task 6, division 4096).
+    supernpu::clear_result_cache();
+    chaos::set_chaos(Some(42));
+    let chaotic = supernpu::explore::fig20_buffer_sweep();
+    chaos::set_chaos(None);
+    std::panic::set_hook(hook);
+    assert!(chaotic.len() < 8, "seed 42 must lose a fig20 point");
+
+    let after = supernpu::explore::fig20_buffer_sweep();
+    assert_eq!(after.len(), 8, "the lossy sweep was memoized");
+
+    supernpu::clear_result_cache();
+    sfq_par::set_threads(1);
+    let serial = supernpu::explore::fig20_buffer_sweep();
+    sfq_par::clear_threads();
+    assert_eq!(
+        serde_json::to_string(&after).expect("serialize"),
+        serde_json::to_string(&serial).expect("serialize"),
+        "fig20 after chaos must match a cold serial run bit-for-bit"
+    );
+}
+
 // ------------------------------------------------- checkpoint/resume
 
 fn ckpt_dir(name: &str) -> std::path::PathBuf {
@@ -347,6 +381,7 @@ fn fig20_resilient_matches_plain_and_survives_kill() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     sfq_estimator::clear_estimate_cache();
     sfq_chars::clear_measure_cache();
+    supernpu::clear_result_cache();
     let plain = supernpu::explore::fig20_buffer_sweep();
 
     sfq_estimator::clear_estimate_cache();

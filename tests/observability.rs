@@ -86,9 +86,13 @@ fn observability_end_to_end() {
     assert_eq!(after.counter("obs_test.disabled.events"), None);
 
     // --- 4. Metrics cannot change results: fig20 bit-identical -------
+    // The result memo is emptied before each run, so both runs compute
+    // the sweep instead of re-serving the first one.
+    supernpu::clear_result_cache();
     let off = serde_json::to_string(&fig20_buffer_sweep()).unwrap();
     sfq_obs::set_enabled(true);
     sfq_obs::reset();
+    supernpu::clear_result_cache();
     let on = serde_json::to_string(&fig20_buffer_sweep()).unwrap();
     assert_eq!(off, on, "enabling metrics changed the sweep output");
     // ...while actually having recorded the sweep.

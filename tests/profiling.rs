@@ -34,9 +34,13 @@ fn profiling_end_to_end() {
     );
 
     // --- 2. Profiling on/off does not change sweep output -------------
+    // The result memo is emptied before each run, so both runs compute
+    // the sweep (and the profiled one records its frames).
+    supernpu::clear_result_cache();
     let off = serde_json::to_string(&supernpu::explore::fig20_buffer_sweep()).unwrap();
     prof::set_profile(Some("unused-profile-path.json"));
     prof::set_detail(true);
+    supernpu::clear_result_cache();
     let on = serde_json::to_string(&supernpu::explore::fig20_buffer_sweep()).unwrap();
     prof::set_detail(false);
     // JSON strings carry full f64 round-trip precision, so string
