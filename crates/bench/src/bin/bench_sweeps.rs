@@ -86,8 +86,8 @@ fn bench(name: &'static str, run: &dyn Fn() -> String, pool: usize) -> SweepResu
     let identical = serial_out == parallel_out;
     // Cache clearing inside `timed` also resets the hit/miss counters,
     // so these stats describe exactly the last parallel iteration.
-    let est = sfq_estimator::estimate_cache_stats();
-    let meas = sfq_chars::measure_cache_stats();
+    let est = memo_counts("estimator.estimate");
+    let meas = memo_counts("chars.measure");
     println!(
         "{name}: serial {serial_ms:8.1} ms | parallel {parallel_ms:8.1} ms | \
          speedup {:4.2}x | identical: {identical}",
@@ -102,6 +102,15 @@ fn bench(name: &'static str, run: &dyn Fn() -> String, pool: usize) -> SweepResu
         measure_cache: meas,
         metrics: sfq_obs::snapshot(),
     }
+}
+
+/// `(hits, misses)` of the memo counting into `<name>.cache_hit` and
+/// `<name>.cache_miss`.
+fn memo_counts(name: &str) -> (u64, u64) {
+    (
+        sfq_obs::counter(&format!("{name}.cache_hit")).get(),
+        sfq_obs::counter(&format!("{name}.cache_miss")).get(),
+    )
 }
 
 fn cache_value(stats: (u64, u64)) -> Value {

@@ -28,8 +28,8 @@ pub fn header(id: &str, paper_ref: &str) {
 }
 
 /// Empty every process-wide memo a timed run could be served from:
-/// the result memo, the estimate memo and the characterization memos
-/// (which also drop the memoized transients). The bench harnesses call
+/// the result memo, the estimate memo, the characterization memo and
+/// the transient memo beneath it. The bench harnesses call
 /// this before each timed run, so every run pays the same cold cost
 /// and none of them times memo lookups.
 pub fn clear_caches() {

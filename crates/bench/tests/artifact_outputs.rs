@@ -8,7 +8,8 @@
 //! must print the same bytes, and the CSVs `export_csv` writes and the
 //! `report.md` `full_report` writes must equal the files committed
 //! under `results/`. One `run_all` run leaves one ledger manifest,
-//! which lists those eight files.
+//! which lists those eight files, and the one-thread run solves 13
+//! transients.
 //!
 //! The digests were captured once, from the binaries as they were
 //! before the artifact table existed, and are never edited: a change
@@ -173,10 +174,25 @@ fn every_artifact_binary_prints_its_committed_bytes() {
 fn run_all_prints_every_artifact_at_any_thread_count() {
     let (exe, _) = golden("run_all");
     let (dir, stdout) = run(exe, "run_all", &[]);
-    let (_, serial) = run(exe, "run_all_serial", &[("SUPERNPU_THREADS", "1")]);
+    let (serial_dir, serial) = run(
+        exe,
+        "run_all_serial",
+        &[
+            ("SUPERNPU_THREADS", "1"),
+            ("SUPERNPU_METRICS_JSON", "metrics.json"),
+        ],
+    );
     check_digests(&[("run_all", fnv1a(&stdout)), ("run_all", fnv1a(&serial))]);
     check_csvs(&dir);
     check_report(&dir);
+
+    // Every paper artifact needs only 13 distinct transients, and the
+    // `jjsim::extract` memo runs each once. Both counters record with
+    // metrics off.
+    let text = std::fs::read_to_string(serial_dir.join("metrics.json")).expect("read metrics.json");
+    let metrics: sfq_obs::MetricsReport = serde_json::from_str(&text).expect("parse metrics.json");
+    assert_eq!(metrics.counter("jjsim.solver.transient_runs"), Some(13));
+    assert_eq!(metrics.counter("jjsim.extract.cache_miss"), Some(13));
 
     // One process, one run record, and it names every file it wrote.
     let manifests: Vec<PathBuf> = std::fs::read_dir(dir.join("ledger"))

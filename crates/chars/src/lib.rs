@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use jjsim::extract::{
@@ -32,9 +31,9 @@ use jjsim::extract::{
 };
 use jjsim::stdlib::{AndParams, DffParams, JtlParams};
 use jjsim::SimError;
-use parking_lot::RwLock;
 use sfq_cells::{CellLibrary, DeviceParams, GateKind, GateParams};
 use sfq_guard::{CancelToken, RunBudget};
+use sfq_obs::Memo;
 
 /// Bias-network recharge energy per switched junction, attojoules
 /// (Φ₀·I_b at the default 0.5·I_c bias point) — added to the shunt
@@ -110,207 +109,16 @@ fn measure_key(jtl: &JtlParams, dff: &DffParams, and: &AndParams) -> MeasureKey 
     ]
 }
 
-/// Process-wide memo of completed measurement runs. A linear scan is
-/// fine: there is one key per distinct parameter set, a handful per
-/// process at most.
-static MEASURE_CACHE: RwLock<Vec<(MeasureKey, Measurements)>> = RwLock::new(Vec::new());
+/// Process-wide memo of completed measurement runs: one entry per
+/// distinct parameter set, a handful per process at most.
+static MEASUREMENTS: Memo<MeasureKey, Measurements> = Memo::new("chars.measure", None);
 
-// ------------------------------------------------ per-testbench memoization
-//
-// A sweep that perturbs one cell family's parameters (a margins probe,
-// a Fig. 21/22 design point) used to re-run *every* testbench because
-// the monolithic `MeasureKey` fingerprints all three parameter sets at
-// once. The measurement is therefore split along testbench boundaries
-// — the JTL benches depend only on `JtlParams`, the DFF benches only
-// on `DffParams`, the AND benches only on `AndParams` — each with its
-// own bit-exact key and memo, generalizing the margins probe memo of
-// `jjsim::margins` to the whole characterization layer. Only the
-// testbenches whose parameters actually changed between sweep points
-// re-run their transients (observable via [`jjsim::transient_runs`]).
-
-/// JTL-family raw measurements (JTL chain + splitter testbenches).
-#[derive(Debug, Clone, Copy)]
-struct JtlMeas {
-    jtl_delay_ps: f64,
-    jtl_energy_aj: f64,
-    splitter_delay_ps: f64,
-}
-
-/// DFF-family raw measurements (clock-to-Q, cycle energy, and the
-/// shift-register frequency bisection, which is built from DFFs).
-#[derive(Debug, Clone, Copy)]
-struct DffMeas {
-    dff_delay_ps: f64,
-    dff_energy_aj: f64,
-    sr_max_ghz: f64,
-}
-
-/// Clocked-AND raw measurements.
-#[derive(Debug, Clone, Copy)]
-struct AndMeas {
-    and_delay_ps: f64,
-    and_energy_aj: f64,
-}
-
-// Like `MeasureKey`, each per-family key leads with the ambient
-// solver-relaxation level: relaxed-retry results live in their own
-// slots.
-type JtlKey = [u64; 7];
-type DffKey = [u64; 9];
-type AndKey = [u64; 8];
-
-fn jtl_bench_key(p: &JtlParams) -> JtlKey {
-    [
-        u64::from(sfq_guard::relax_level()),
-        p.ic.to_bits(),
-        p.bias_frac.to_bits(),
-        p.l.to_bits(),
-        p.input_amplitude.to_bits(),
-        p.input_time.to_bits(),
-        JTL_STAGES as u64,
-    ]
-}
-
-fn dff_bench_key(p: &DffParams) -> DffKey {
-    [
-        u64::from(sfq_guard::relax_level()),
-        p.ic_in.to_bits(),
-        p.ic_out.to_bits(),
-        p.l_store.to_bits(),
-        p.bias_store.to_bits(),
-        p.bias_out.to_bits(),
-        p.pulse_amplitude.to_bits(),
-        SR_BISECT_LO_PS.to_bits(),
-        SR_BISECT_HI_PS.to_bits(),
-    ]
-}
-
-fn and_bench_key(p: &AndParams) -> AndKey {
-    [
-        u64::from(sfq_guard::relax_level()),
-        p.ic_store.to_bits(),
-        p.ic_out.to_bits(),
-        p.l_store.to_bits(),
-        p.bias_store.to_bits(),
-        p.bias_out.to_bits(),
-        p.pulse_amplitude.to_bits(),
-        p.clock_amplitude.to_bits(),
-    ]
-}
-
-static JTL_BENCH_CACHE: RwLock<Vec<(JtlKey, JtlMeas)>> = RwLock::new(Vec::new());
-static DFF_BENCH_CACHE: RwLock<Vec<(DffKey, DffMeas)>> = RwLock::new(Vec::new());
-static AND_BENCH_CACHE: RwLock<Vec<(AndKey, AndMeas)>> = RwLock::new(Vec::new());
-
-fn bench_cache_hit() {
-    sfq_obs::inc("chars.bench.cache_hit");
-}
-
-fn bench_cache_miss() {
-    sfq_obs::inc("chars.bench.cache_miss");
-}
-
-fn jtl_measurements(p: &JtlParams) -> Result<JtlMeas, SimError> {
-    let key = jtl_bench_key(p);
-    if let Some((_, m)) = JTL_BENCH_CACHE.read().iter().find(|(k, _)| *k == key) {
-        bench_cache_hit();
-        sfq_obs::prof::count("bench_cache_hit", 1);
-        return Ok(*m);
-    }
-    bench_cache_miss();
-    let _pf = sfq_obs::prof::frame("jtl_bench");
-    let jtl = jtl_characteristics(JTL_STAGES, p)?;
-    let m = JtlMeas {
-        jtl_delay_ps: jtl.delay_s * 1e12,
-        jtl_energy_aj: jtl.energy_j * 1e18,
-        splitter_delay_ps: splitter_delay(p)? * 1e12,
-    };
-    let mut cache = JTL_BENCH_CACHE.write();
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, m));
-    }
-    Ok(m)
-}
-
-fn dff_measurements(p: &DffParams) -> Result<DffMeas, SimError> {
-    let key = dff_bench_key(p);
-    if let Some((_, m)) = DFF_BENCH_CACHE.read().iter().find(|(k, _)| *k == key) {
-        bench_cache_hit();
-        sfq_obs::prof::count("bench_cache_hit", 1);
-        return Ok(*m);
-    }
-    bench_cache_miss();
-    let _pf = sfq_obs::prof::frame("dff_bench");
-    let m = DffMeas {
-        dff_delay_ps: dff_clock_to_q(p)? * 1e12,
-        dff_energy_aj: dff_cycle_energy(p)? * 1e18,
-        sr_max_ghz: max_shift_frequency(p, SR_BISECT_LO_PS, SR_BISECT_HI_PS)? / 1e9,
-    };
-    let mut cache = DFF_BENCH_CACHE.write();
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, m));
-    }
-    Ok(m)
-}
-
-fn and_measurements(p: &AndParams) -> Result<AndMeas, SimError> {
-    let key = and_bench_key(p);
-    if let Some((_, m)) = AND_BENCH_CACHE.read().iter().find(|(k, _)| *k == key) {
-        bench_cache_hit();
-        sfq_obs::prof::count("bench_cache_hit", 1);
-        return Ok(*m);
-    }
-    bench_cache_miss();
-    let _pf = sfq_obs::prof::frame("and_bench");
-    let m = AndMeas {
-        and_delay_ps: and_clock_to_q(p)? * 1e12,
-        and_energy_aj: and_cycle_energy(p)? * 1e18,
-    };
-    let mut cache = AND_BENCH_CACHE.write();
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, m));
-    }
-    Ok(m)
-}
-
-/// Always-on `chars.measure.cache_hit` / `chars.measure.cache_miss`
-/// counters in the [`sfq_obs`] registry (the former ad-hoc statics):
-/// they record whether or not `SUPERNPU_METRICS` is set, so the
-/// [`measure_cache_stats`] alias keeps its pre-registry behavior.
-fn cache_counters() -> (&'static sfq_obs::Counter, &'static sfq_obs::Counter) {
-    static C: OnceLock<(&'static sfq_obs::Counter, &'static sfq_obs::Counter)> = OnceLock::new();
-    *C.get_or_init(|| {
-        (
-            sfq_obs::counter("chars.measure.cache_hit"),
-            sfq_obs::counter("chars.measure.cache_miss"),
-        )
-    })
-}
-
-/// `(hits, misses)` of the measurement cache since process start (or
-/// the last [`clear_measure_cache`]).
-///
-/// Deprecated alias: thin wrapper over the `chars.measure.cache_hit` /
-/// `chars.measure.cache_miss` counters in the [`sfq_obs`] registry;
-/// prefer reading those (or [`sfq_obs::snapshot`]) in new code.
-pub fn measure_cache_stats() -> (u64, u64) {
-    let (hits, misses) = cache_counters();
-    (hits.get(), misses.get())
-}
-
-/// Drop all cached measurements (the assembled-measurement memo, every
-/// per-testbench memo and the `jjsim::extract` transient memo beneath
-/// them) and reset the hit/miss counters, so the next measurement runs
-/// its transients again.
+/// Drop all cached measurements (this memo and the `jjsim::extract`
+/// transient memo beneath it) and reset their hit/miss counters, so
+/// the next measurement runs its transients again.
 pub fn clear_measure_cache() {
-    MEASURE_CACHE.write().clear();
-    JTL_BENCH_CACHE.write().clear();
-    DFF_BENCH_CACHE.write().clear();
-    AND_BENCH_CACHE.write().clear();
+    MEASUREMENTS.clear();
     jjsim::extract::clear_extract_cache();
-    let (hits, misses) = cache_counters();
-    hits.reset();
-    misses.reset();
 }
 
 /// Run every transient testbench and collect the raw numbers.
@@ -335,13 +143,13 @@ pub fn measure() -> Result<Measurements, SimError> {
 /// [`measure`] for explicit (possibly perturbed) cell parameters — the
 /// entry point for sweeps that move a subset of the parameter space.
 ///
-/// Memoization is two-level: an outer memo on the full parameter
-/// fingerprint returns an assembled [`Measurements`] without touching
-/// any testbench, and on an outer miss each testbench family (JTL,
-/// DFF, clocked AND) consults its own memo keyed only on the
-/// parameters that feed it. A sweep point that perturbs, say, the AND
-/// parameters re-runs *only* the AND transients; the JTL and DFF
-/// numbers are reused bit-identically from the previous point.
+/// Memoization is two-level: a memo on the full parameter fingerprint
+/// returns an assembled [`Measurements`] without touching any
+/// testbench, and on a miss each of the seven extractions solves
+/// through the `jjsim::extract` transient memo, keyed on its exact
+/// circuit. A sweep point that perturbs, say, the AND parameters
+/// re-runs *only* the AND transients; the JTL and DFF numbers are
+/// reused bit-identically from the previous point.
 ///
 /// # Errors
 ///
@@ -354,40 +162,50 @@ pub fn measure_with(
     let key = measure_key(jtl_p, dff_p, and_p);
 
     let _pf = sfq_obs::prof::frame("chars.measure");
-    let (cache_hits, cache_misses) = cache_counters();
-    if let Some((_, m)) = MEASURE_CACHE.read().iter().find(|(k, _)| *k == key) {
-        cache_hits.inc();
+    if let Some(m) = MEASUREMENTS.get(&key) {
         sfq_obs::prof::count("cache_hit", 1);
-        return Ok(*m);
+        return Ok(m);
     }
-    cache_misses.inc();
     sfq_obs::prof::count("cache_miss", 1);
     let fill_started = sfq_obs::enabled().then(Instant::now);
     let fill_frame = sfq_obs::prof::frame("fill");
-
-    let jtl = jtl_measurements(jtl_p)?;
-    let dff = dff_measurements(dff_p)?;
-    let and = and_measurements(and_p)?;
-    let m = Measurements {
-        jtl_delay_ps: jtl.jtl_delay_ps,
-        jtl_energy_aj: jtl.jtl_energy_aj,
-        splitter_delay_ps: jtl.splitter_delay_ps,
-        dff_delay_ps: dff.dff_delay_ps,
-        dff_energy_aj: dff.dff_energy_aj,
-        and_delay_ps: and.and_delay_ps,
-        and_energy_aj: and.and_energy_aj,
-        sr_max_ghz: dff.sr_max_ghz,
-    };
+    let m = run_testbenches(jtl_p, dff_p, and_p)?;
     drop(fill_frame);
     if let Some(t0) = fill_started {
         sfq_obs::observe("chars.measure.fill_ms", t0.elapsed().as_secs_f64() * 1e3);
     }
-
-    let mut cache = MEASURE_CACHE.write();
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, m));
-    }
+    MEASUREMENTS.insert(key, m);
     Ok(m)
+}
+
+/// The seven testbench extractions, one profile frame per cell
+/// family. JTL numbers depend only on `jtl_p`, DFF and shift-register
+/// numbers only on `dff_p`, AND numbers only on `and_p`.
+fn run_testbenches(
+    jtl_p: &JtlParams,
+    dff_p: &DffParams,
+    and_p: &AndParams,
+) -> Result<Measurements, SimError> {
+    let frame = sfq_obs::prof::frame("jtl_bench");
+    let jtl = jtl_characteristics(JTL_STAGES, jtl_p)?;
+    let splitter_delay_ps = splitter_delay(jtl_p)? * 1e12;
+    drop(frame);
+    let frame = sfq_obs::prof::frame("dff_bench");
+    let dff_delay_ps = dff_clock_to_q(dff_p)? * 1e12;
+    let dff_energy_aj = dff_cycle_energy(dff_p)? * 1e18;
+    let sr_max_ghz = max_shift_frequency(dff_p, SR_BISECT_LO_PS, SR_BISECT_HI_PS)? / 1e9;
+    drop(frame);
+    let _frame = sfq_obs::prof::frame("and_bench");
+    Ok(Measurements {
+        jtl_delay_ps: jtl.delay_s * 1e12,
+        jtl_energy_aj: jtl.energy_j * 1e18,
+        splitter_delay_ps,
+        dff_delay_ps,
+        dff_energy_aj,
+        and_delay_ps: and_clock_to_q(and_p)? * 1e12,
+        and_energy_aj: and_cycle_energy(and_p)? * 1e18,
+        sr_max_ghz,
+    })
 }
 
 /// Turn measurements into a full cell library.
@@ -469,7 +287,7 @@ pub fn characterize() -> Result<CellLibrary, SimError> {
 }
 
 /// [`characterize`] for explicit cell parameters, with
-/// [`measure_with`]'s incremental per-testbench memoization.
+/// [`measure_with`]'s incremental memoization.
 ///
 /// # Errors
 ///

@@ -2,12 +2,11 @@
 //! models into whole-NPU frequency, power, area and per-access energy
 //! numbers.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use sfq_cells::{scaling, CellLibrary, GateKind};
+use sfq_obs::Memo;
 
 use crate::clocking::{Clocking, PairTiming};
 use crate::clocktree::ClockTree;
@@ -275,42 +274,14 @@ type EstimateKey = (NpuConfig, Vec<u64>);
 /// many times; a linear scan over the few dozen distinct keys is far
 /// cheaper than one estimation. Cleared wholesale if it ever grows
 /// past a bound no legitimate sweep reaches.
-static ESTIMATE_CACHE: RwLock<Vec<(EstimateKey, NpuEstimate)>> = RwLock::new(Vec::new());
-const ESTIMATE_CACHE_CAP: usize = 1024;
+static ESTIMATES: Memo<EstimateKey, NpuEstimate> =
+    Memo::new("estimator.estimate", Some(ESTIMATES_CAP));
+const ESTIMATES_CAP: usize = 1024;
 
-/// Always-on `estimator.estimate.cache_hit` / `.cache_miss` counters
-/// in the [`sfq_obs`] registry (the former ad-hoc statics): they
-/// record whether or not `SUPERNPU_METRICS` is set, so the
-/// [`estimate_cache_stats`] alias keeps its pre-registry behavior.
-fn cache_counters() -> (&'static sfq_obs::Counter, &'static sfq_obs::Counter) {
-    static C: OnceLock<(&'static sfq_obs::Counter, &'static sfq_obs::Counter)> = OnceLock::new();
-    *C.get_or_init(|| {
-        (
-            sfq_obs::counter("estimator.estimate.cache_hit"),
-            sfq_obs::counter("estimator.estimate.cache_miss"),
-        )
-    })
-}
-
-/// `(hits, misses)` of the estimate memo since process start (or the
-/// last [`clear_estimate_cache`]).
-///
-/// Deprecated alias: thin wrapper over the
-/// `estimator.estimate.cache_hit` / `estimator.estimate.cache_miss`
-/// counters in the [`sfq_obs`] registry; prefer reading those (or
-/// [`sfq_obs::snapshot`]) in new code.
-pub fn estimate_cache_stats() -> (u64, u64) {
-    let (hits, misses) = cache_counters();
-    (hits.get(), misses.get())
-}
-
-/// Drop all memoized estimates and reset the hit/miss counters.
+/// Drop all memoized estimates and reset the
+/// `estimator.estimate.cache_hit` / `.cache_miss` counters.
 pub fn clear_estimate_cache() {
-    let mut cache = ESTIMATE_CACHE.write();
-    cache.clear();
-    let (hits, misses) = cache_counters();
-    hits.reset();
-    misses.reset();
+    ESTIMATES.clear();
 }
 
 /// Run the full three-layer estimation for `cfg` under `lib`.
@@ -327,13 +298,10 @@ pub fn clear_estimate_cache() {
 pub fn estimate(cfg: &NpuConfig, lib: &CellLibrary) -> NpuEstimate {
     let key: EstimateKey = (cfg.clone(), library_fingerprint(lib));
     let _pf = sfq_obs::prof::frame("estimator.estimate");
-    let (cache_hits, cache_misses) = cache_counters();
-    if let Some((_, est)) = ESTIMATE_CACHE.read().iter().find(|(k, _)| *k == key) {
-        cache_hits.inc();
+    if let Some(est) = ESTIMATES.get(&key) {
         sfq_obs::prof::count("cache_hit", 1);
-        return est.clone();
+        return est;
     }
-    cache_misses.inc();
     sfq_obs::prof::count("cache_miss", 1);
     let fill_started = sfq_obs::enabled().then(Instant::now);
     let fill_frame = sfq_obs::prof::frame("fill");
@@ -345,13 +313,7 @@ pub fn estimate(cfg: &NpuConfig, lib: &CellLibrary) -> NpuEstimate {
             t0.elapsed().as_secs_f64() * 1e3,
         );
     }
-    let mut cache = ESTIMATE_CACHE.write();
-    if cache.len() >= ESTIMATE_CACHE_CAP {
-        cache.clear();
-    }
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, est.clone()));
-    }
+    ESTIMATES.insert(key, est.clone());
     est
 }
 

@@ -428,31 +428,25 @@ fn load_checkpoint(
     seed: u64,
     samples: u32,
 ) -> Result<Vec<Outcome>, FaultError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        // A missing checkpoint is a cold start, not an error.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(FaultError::Checkpoint {
-                path: path.to_path_buf(),
-                message: format!("read failed: {e}"),
-            })
-        }
-    };
-    let cp: Checkpoint = serde_json::from_str(&text).map_err(|e| FaultError::Checkpoint {
+    let checkpoint_err = |message: String| FaultError::Checkpoint {
         path: path.to_path_buf(),
-        message: format!("parse failed: {e}"),
-    })?;
+        message,
+    };
+    // A missing checkpoint is a cold start, not an error.
+    let Some(cp) = sfq_guard::checkpoint::load_json::<Checkpoint>(path)
+        .map_err(|e| checkpoint_err(e.to_string()))?
+    else {
+        return Ok(Vec::new());
+    };
     let matches = cp.cell == cell.name()
         && cp.sigma_bits == sigma.to_bits()
         && cp.seed == seed
         && cp.samples == samples
         && cp.outcomes.len() <= samples as usize;
     if !matches {
-        return Err(FaultError::Checkpoint {
-            path: path.to_path_buf(),
-            message: "checkpoint does not match this run's (cell, sigma, seed, samples)".into(),
-        });
+        return Err(checkpoint_err(
+            "checkpoint does not match this run's (cell, sigma, seed, samples)".into(),
+        ));
     }
     Ok(cp.outcomes)
 }
@@ -472,19 +466,13 @@ fn write_checkpoint(
         samples,
         outcomes: outcomes.to_vec(),
     };
-    let text = serde_json::to_string_pretty(&cp).map_err(|e| FaultError::Checkpoint {
-        path: path.to_path_buf(),
-        message: format!("serialize failed: {e}"),
-    })?;
     // Atomic persistence (temp sibling + fsync + rename): a crash
     // mid-write can never leave a torn checkpoint where the old one
     // stood — the file either still holds the previous prefix or
     // already holds the new one, both resumable.
-    sfq_guard::checkpoint::atomic_write(path, text.as_bytes()).map_err(|e| {
-        FaultError::Checkpoint {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        }
+    sfq_guard::checkpoint::atomic_write_json(path, &cp).map_err(|e| FaultError::Checkpoint {
+        path: path.to_path_buf(),
+        message: e.to_string(),
     })?;
     sfq_obs::inc("faults.mc.checkpoints");
     Ok(())

@@ -2,7 +2,7 @@
 //! cell-library numbers (delays, maximum clock rates, switching
 //! energies), mirroring the paper's use of JSIM in §IV-A.1.
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use sfq_obs::Memo;
 
 use crate::solver::{SimOptions, Solver};
 use crate::stdlib::{
@@ -29,36 +29,16 @@ pub struct Extraction {
 type RunKey = Vec<u64>;
 
 /// Process-wide memo of completed scalar testbench transients. Fig.
-/// 7(c), Fig. 13 and `sfq_chars` characterization solve the same
-/// default-parameter testbenches, and the clock-to-Q/cycle-energy pairs
-/// solve one circuit each; all of them meet here, so each distinct
-/// transient runs once per process. Equal keys mean bit-identical
-/// runs, so a hit can never change a result. A hit does no solver
-/// work, so it neither polls nor spends an ambient `sfq_guard` budget.
-/// Errors are never stored. Cleared wholesale if it ever grows past a
-/// bound no legitimate characterization reaches.
-static EXTRACT_CACHE: Mutex<Vec<(RunKey, SimResult)>> = Mutex::new(Vec::new());
-const EXTRACT_CACHE_CAP: usize = 1024;
-
-/// Lock the transient memo, recovering from poisoning: a solve that
-/// panicked on another thread never holds the lock across its panic,
-/// so the stored entries stay consistent.
-fn extract_cache() -> MutexGuard<'static, Vec<(RunKey, SimResult)>> {
-    EXTRACT_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Always-on `jjsim.extract.cache_hit` / `.cache_miss` counters: they
-/// record whether or not `SUPERNPU_METRICS` is set, and every miss
-/// goes to the solver.
-fn cache_counters() -> (&'static sfq_obs::Counter, &'static sfq_obs::Counter) {
-    static C: OnceLock<(&'static sfq_obs::Counter, &'static sfq_obs::Counter)> = OnceLock::new();
-    *C.get_or_init(|| {
-        (
-            sfq_obs::counter("jjsim.extract.cache_hit"),
-            sfq_obs::counter("jjsim.extract.cache_miss"),
-        )
-    })
-}
+/// 7(c), Fig. 13, `sfq_chars` characterization and the margin searches
+/// solve the same default-parameter testbenches, and the
+/// clock-to-Q/cycle-energy pairs solve one circuit each; all of them
+/// meet here, so each distinct transient runs once per process. Equal
+/// keys mean bit-identical runs, so a hit can never change a result. A
+/// hit does no solver work, so it neither polls nor spends an ambient
+/// `sfq_guard` budget. Errors are never stored. Cleared wholesale if
+/// it ever grows past a bound no legitimate characterization reaches.
+static TRANSIENTS: Memo<RunKey, SimResult> = Memo::new("jjsim.extract", Some(TRANSIENTS_CAP));
+const TRANSIENTS_CAP: usize = 1024;
 
 /// Drop every memoized testbench transient and reset the
 /// `jjsim.extract.cache_hit` / `.cache_miss` counters, so the next
@@ -66,36 +46,25 @@ fn cache_counters() -> (&'static sfq_obs::Counter, &'static sfq_obs::Counter) {
 /// calls this; normal code never needs to (transients are
 /// deterministic for a given build).
 pub fn clear_extract_cache() {
-    extract_cache().clear();
-    let (hits, misses) = cache_counters();
-    hits.reset();
-    misses.reset();
+    TRANSIENTS.clear();
 }
 
-/// Solve one testbench, through the memo. Every extraction below and
-/// every [`max_shift_frequency`] trial goes through here.
-fn run(c: crate::Circuit, t_end: f64) -> Result<SimResult, SimError> {
+/// Solve one testbench, through the memo. Every extraction below,
+/// every [`max_shift_frequency`] trial and every margin probe goes
+/// through here.
+pub(crate) fn run(c: crate::Circuit, t_end: f64) -> Result<SimResult, SimError> {
     let mut key = c.fingerprint();
     key.extend([t_end.to_bits(), u64::from(sfq_guard::relax_level())]);
-    let (hits, misses) = cache_counters();
-    if let Some((_, out)) = extract_cache().iter().find(|(k, _)| *k == key) {
-        hits.inc();
-        return Ok(out.clone());
+    if let Some(out) = TRANSIENTS.get(&key) {
+        return Ok(out);
     }
-    misses.inc();
     // Extraction cares about pulse counts, pulse times and dissipated
     // energies — exactly what the adaptive controller preserves (same
     // counts, sub-0.5 ps times) while cutting step counts several-fold
     // on these mostly-quiescent testbenches. This is the hot path
     // under `chars::measure` and everything built on it.
     let out = Solver::new(c, SimOptions::adaptive())?.try_run(t_end)?;
-    let mut cache = extract_cache();
-    if cache.len() >= EXTRACT_CACHE_CAP {
-        cache.clear();
-    }
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, out.clone()));
-    }
+    TRANSIENTS.insert(key, out.clone());
     Ok(out)
 }
 

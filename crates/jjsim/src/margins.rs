@@ -5,54 +5,14 @@
 //! and down from its nominal value until functionality breaks, and
 //! report the working interval as a ± percentage. Cells with margins
 //! below ±20–30% are considered fragile and get redesigned.
+//!
+//! The cell searches below solve every probe through the
+//! [`crate::extract`] transient memo, keyed on the exact circuit and
+//! the ambient relaxation level, so repeating a search at the same
+//! level runs no transient.
 
-use std::sync::{Mutex, PoisonError};
-
+use crate::extract::run;
 use crate::SimError;
-
-/// Process-wide memo of margin probe outcomes, keyed on the cell
-/// identity and the exact probe value bits. Bisection revisits the
-/// same probe values whenever a margin is requested more than once in
-/// a process (tests, benches, reports), and each probe is one or two
-/// full transients — the warm start turns every repeat search into
-/// pure table lookups. Guarded by exact `f64::to_bits` keys like the
-/// `chars::measure` cache, so a hit is bit-identical to a rerun by
-/// construction.
-static PROBE_CACHE: Mutex<Vec<((&'static str, u64), bool)>> = Mutex::new(Vec::new());
-
-fn cached_probe<F>(cell: &'static str, value: f64, probe: F) -> Result<bool, SimError>
-where
-    F: FnOnce(f64) -> Result<bool, SimError>,
-{
-    let key = (cell, value.to_bits());
-    if let Some(&(_, ok)) = probe_cache().iter().find(|(k, _)| *k == key) {
-        if sfq_obs::enabled() {
-            sfq_obs::inc("jjsim.margins.probe_hits");
-        }
-        return Ok(ok);
-    }
-    if sfq_obs::enabled() {
-        sfq_obs::inc("jjsim.margins.probe_misses");
-    }
-    let ok = probe(value)?;
-    probe_cache().push((key, ok));
-    Ok(ok)
-}
-
-/// Lock the probe memo, recovering from poisoning: a probe that
-/// panicked on another thread (e.g. under `catch_unwind` sweep
-/// isolation) never holds the lock across its panic, so the cached
-/// entries stay consistent and the sweep can keep going.
-#[allow(clippy::type_complexity)]
-fn probe_cache() -> std::sync::MutexGuard<'static, Vec<((&'static str, u64), bool)>> {
-    PROBE_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Drop all memoized margin probes (test isolation; normal code never
-/// needs this — probe outcomes are deterministic for a given build).
-pub fn clear_probe_cache() {
-    probe_cache().clear();
-}
 
 /// The measured operating interval of one parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,18 +115,15 @@ where
 ///
 /// Propagates transient-solver failures.
 pub fn jtl_bias_margin() -> Result<Margin, SimError> {
-    use crate::solver::{SimOptions, Solver};
     use crate::stdlib::{jtl_chain, JtlParams};
     find_margin(0.72, 0.5, 6, |bias| {
-        cached_probe("jtl_bias", bias, |bias| {
-            let p = JtlParams {
-                bias_frac: bias,
-                ..Default::default()
-            };
-            let (ckt, stages) = jtl_chain(4, &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(200e-12)?;
-            Ok(stages.iter().all(|j| out.pulse_count(*j) == 1))
-        })
+        let p = JtlParams {
+            bias_frac: bias,
+            ..Default::default()
+        };
+        let (ckt, stages) = jtl_chain(4, &p);
+        let out = run(ckt, 200e-12)?;
+        Ok(stages.iter().all(|j| out.pulse_count(*j) == 1))
     })
 }
 
@@ -177,22 +134,19 @@ pub fn jtl_bias_margin() -> Result<Margin, SimError> {
 ///
 /// Propagates transient-solver failures.
 pub fn dff_bias_margin() -> Result<Margin, SimError> {
-    use crate::solver::{SimOptions, Solver};
     use crate::stdlib::{dff, DffParams};
     find_margin(0.5e-4, 0.6, 6, |bias| {
-        cached_probe("dff_bias_out", bias, |bias| {
-            let p = DffParams {
-                bias_out: bias,
-                ..Default::default()
-            };
-            let (ckt, probes) = dff(&[60e-12], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(160e-12)?;
-            let stores = out.pulse_count(probes.input) == 1 && out.pulse_count(probes.output) == 1;
-            let (ckt, probes) = dff(&[], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(160e-12)?;
-            let quiet = out.pulse_count(probes.output) == 0;
-            Ok(stores && quiet)
-        })
+        let p = DffParams {
+            bias_out: bias,
+            ..Default::default()
+        };
+        let (ckt, probes) = dff(&[60e-12], &[100e-12], &p);
+        let out = run(ckt, 160e-12)?;
+        let stores = out.pulse_count(probes.input) == 1 && out.pulse_count(probes.output) == 1;
+        let (ckt, probes) = dff(&[], &[100e-12], &p);
+        let out = run(ckt, 160e-12)?;
+        let quiet = out.pulse_count(probes.output) == 0;
+        Ok(stores && quiet)
     })
 }
 
@@ -278,7 +232,7 @@ mod tests {
         assert_eq!(
             crate::transient_runs(),
             runs,
-            "a repeated margin search must be served from the probe memo"
+            "a repeated margin search must be served from the transient memo"
         );
     }
 

@@ -133,7 +133,7 @@ fn adaptive_reduces_steps_at_least_3x_on_cells() {
 /// outcome — pulse counts — is preserved exactly by the controller.
 #[test]
 fn margins_unchanged_by_adaptive_probes() {
-    margins::clear_probe_cache();
+    jjsim::extract::clear_extract_cache();
 
     let jtl_fixed = find_margin(0.72, 0.5, 6, |bias| {
         let p = JtlParams {

@@ -1,9 +1,10 @@
-//! The `jjsim::extract` testbench memo: every scalar extraction and
-//! every `max_shift_frequency` bisection trial solves through one
-//! process-wide memo keyed on a bit-exact circuit fingerprint, the
-//! horizon and the ambient relaxation level. A hit must be
-//! bit-identical to a rerun and run no transient; anything that could
-//! change the solve must miss; a failed run must never be stored.
+//! The `jjsim::extract` testbench memo: every scalar extraction, every
+//! `max_shift_frequency` bisection trial and every margin probe solves
+//! through one process-wide memo keyed on a bit-exact circuit
+//! fingerprint, the horizon and the ambient relaxation level. A hit
+//! must be bit-identical to a rerun and run no transient; anything
+//! that could change the solve must miss; a failed run must never be
+//! stored.
 //!
 //! One `#[test]` on purpose: the memo, its counters and
 //! [`jjsim::transient_runs`] are process-wide, and this integration
@@ -14,7 +15,9 @@ use jjsim::extract::{
     and_clock_to_q, and_cycle_energy, clear_extract_cache, dff_clock_to_q, dff_cycle_energy,
     jtl_characteristics, max_shift_frequency, splitter_delay,
 };
+use jjsim::margins::{dff_bias_margin, jtl_bias_margin, Margin};
 use jjsim::stdlib::{AndParams, DffParams, JtlParams};
+use jjsim::SimError;
 use sfq_guard::{CancelToken, RunBudget};
 
 /// `f()`'s value and the number of real solver runs it started.
@@ -121,6 +124,43 @@ fn testbench_transients_are_memoized() {
     let (ok, n) = runs_during(|| jtl_characteristics(8, &jtl_fresh));
     assert!(ok.is_ok(), "plain run after a cancelled one failed: {ok:?}");
     assert_eq!(n, 1, "a cancelled run must not be memoized");
+
+    // Margin searches probe through the memo too, so a search under a
+    // relaxed solver must not read the nominal search's probes: it
+    // runs its own transients, and a repeat at that level runs none.
+    let (jtl_nominal, _) = runs_during(|| jtl_bias_margin().expect("JTL margin converges"));
+    let (dff_nominal, _) = runs_during(|| dff_bias_margin().expect("DFF margin converges"));
+    let relaxed = |search: fn() -> Result<Margin, SimError>| {
+        runs_during(|| sfq_guard::with_relax(2, search).expect("relaxed margin converges"))
+    };
+    for (cell, search) in [
+        ("JTL", jtl_bias_margin as fn() -> _),
+        ("DFF", dff_bias_margin),
+    ] {
+        let (first, n) = relaxed(search);
+        assert!(
+            n > 0,
+            "relaxed {cell} margin search read the nominal probes"
+        );
+        let (again, n) = relaxed(search);
+        assert_eq!(
+            n, 0,
+            "repeated relaxed {cell} margin search re-ran transients"
+        );
+        assert_eq!(again, first);
+    }
+    let (jtl_again, n) = runs_during(|| jtl_bias_margin().expect("JTL margin converges"));
+    assert_eq!(
+        (jtl_again, n),
+        (jtl_nominal, 0),
+        "relaxed probes leaked into nominal slots"
+    );
+    let (dff_again, n) = runs_during(|| dff_bias_margin().expect("DFF margin converges"));
+    assert_eq!(
+        (dff_again, n),
+        (dff_nominal, 0),
+        "relaxed probes leaked into nominal slots"
+    );
 
     // Clearing drops every entry: the next call solves again, to the
     // same bits.

@@ -3,9 +3,9 @@
 //! Unified tracing & metrics layer for the SuperNPU workspace: a
 //! lightweight, dependency-free registry of named metrics — atomic
 //! [`Counter`]s, [`Gauge`]s and log-bucketed latency [`Histogram`]s —
-//! plus scoped [`Span`] timers, shared by the `jjsim` solver, the
-//! characterization/estimate memo caches, the `sfq-par` worker pool,
-//! the `npusim` cycle simulator and the `supernpu` sweep engine.
+//! plus scoped [`Span`] timers and the [`Memo`] type, shared by the
+//! `jjsim` solver, the memo caches, the `sfq-par` worker pool, the
+//! `npusim` cycle simulator and the `supernpu` sweep engine.
 //!
 //! ## Naming scheme
 //!
@@ -37,6 +37,15 @@
 //! recording with metrics off, exactly as their former statics did —
 //! one relaxed atomic add per event.
 //!
+//! ## Memos
+//!
+//! [`Memo`] is the one process-wide memo type. Four instances exist:
+//! the `jjsim::extract` testbench transients, `sfq_chars::measure`,
+//! `sfq_estimator::estimate` and the `supernpu` result functions. Each
+//! counts into always-on `<name>.cache_hit` / `<name>.cache_miss`
+//! counters, and each owner's `clear_*_cache()` function empties it
+//! and resets them.
+//!
 //! ## Reading the numbers
 //!
 //! [`snapshot`] returns a serde-serializable [`MetricsReport`] (stable
@@ -62,9 +71,12 @@
 #![warn(missing_docs)]
 
 pub mod ledger;
+mod memo;
 pub mod prof;
 pub mod progress;
 pub mod trace;
+
+pub use memo::Memo;
 
 /// Schema version stamped into every persisted snapshot this crate
 /// (and the bench reports downstream) writes: [`MetricsReport`],

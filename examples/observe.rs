@@ -25,7 +25,8 @@ fn main() {
     //    (jjsim.solver.newton_iters, .lu_factor, .run_ms, ...) and the
     //    chars memo cache (chars.measure.cache_hit / cache_miss).
     let lib = sfq_chars::characterize().expect("transient testbenches converge");
-    let (hits, misses) = sfq_chars::measure_cache_stats();
+    let hits = sfq_obs::counter("chars.measure.cache_hit").get();
+    let misses = sfq_obs::counter("chars.measure.cache_miss").get();
     println!(
         "characterized a {} cell library ({hits} cache hits / {misses} misses)",
         lib.bias()

@@ -9,7 +9,16 @@
 //! count is attributable to the calls below.
 
 use sfq_cells::CellLibrary;
-use sfq_estimator::{estimate, estimate_cache_stats, NpuConfig};
+use sfq_estimator::{estimate, NpuConfig};
+
+/// `(hits, misses)` of the memo counting into `<name>.cache_hit` and
+/// `<name>.cache_miss`.
+fn memo_counts(name: &str) -> (u64, u64) {
+    (
+        sfq_obs::counter(&format!("{name}.cache_hit")).get(),
+        sfq_obs::counter(&format!("{name}.cache_miss")).get(),
+    )
+}
 
 #[test]
 fn second_characterization_runs_no_new_transients() {
@@ -18,7 +27,7 @@ fn second_characterization_runs_no_new_transients() {
     let first = sfq_chars::characterize().expect("testbenches converge");
     let runs_after_first = jjsim::transient_runs();
     assert!(runs_after_first > 0, "first characterization must simulate");
-    let (hits0, misses0) = sfq_chars::measure_cache_stats();
+    let (hits0, misses0) = memo_counts("chars.measure");
     assert_eq!((hits0, misses0), (0, 1));
 
     let second = sfq_chars::characterize().expect("cache hit cannot fail");
@@ -27,7 +36,7 @@ fn second_characterization_runs_no_new_transients() {
         runs_after_first,
         "second characterization re-ran jjsim transients"
     );
-    let (hits1, misses1) = sfq_chars::measure_cache_stats();
+    let (hits1, misses1) = memo_counts("chars.measure");
     assert_eq!((hits1, misses1), (1, 1));
 
     // The cached library is the same library, bit for bit.
@@ -44,9 +53,9 @@ fn second_characterization_runs_no_new_transients() {
     let cfg = NpuConfig::paper_supernpu();
     let lib = CellLibrary::aist_10um();
     let e1 = estimate(&cfg, &lib);
-    let (_, m_before) = estimate_cache_stats();
+    let (_, m_before) = memo_counts("estimator.estimate");
     let e2 = estimate(&cfg, &lib);
-    let (hits, misses) = estimate_cache_stats();
+    let (hits, misses) = memo_counts("estimator.estimate");
     assert_eq!(misses, m_before, "second estimate must not recompute");
     assert!(hits >= 1);
     assert_eq!(e1.frequency_ghz.to_bits(), e2.frequency_ghz.to_bits());

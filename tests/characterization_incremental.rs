@@ -1,10 +1,10 @@
-//! Incremental re-characterization: `sfq_chars::measure_with` memoizes
-//! each testbench family (JTL, DFF, clocked AND) on its own parameter
-//! fingerprint, so a sweep point that perturbs one family's parameters
-//! re-runs only that family's transients. Observed through the
-//! process-global `jjsim.solver.transient_runs` counter, which is why
-//! everything lives in a single `#[test]` (same pattern as
-//! `characterization_cache.rs`).
+//! Incremental re-characterization: on a miss, `sfq_chars::measure_with`
+//! runs every testbench extraction through the `jjsim::extract`
+//! transient memo, keyed on each exact circuit, so a sweep point that
+//! perturbs one family's parameters (JTL, DFF, clocked AND) re-runs
+//! only that family's transients. Observed through the process-global
+//! `jjsim.solver.transient_runs` counter, which is why everything lives
+//! in a single `#[test]` (same pattern as `characterization_cache.rs`).
 
 use jjsim::stdlib::{AndParams, DffParams, JtlParams};
 
@@ -75,8 +75,8 @@ fn perturbing_one_family_reruns_only_its_testbenches() {
     assert_eq!(m.sr_max_ghz.to_bits(), base.sr_max_ghz.to_bits());
     assert_eq!(m.and_delay_ps.to_bits(), base.and_delay_ps.to_bits());
 
-    // The three family costs partition the cold fill exactly: no
-    // testbench hides outside the per-family memos.
+    // The three family costs partition the cold fill exactly: every
+    // testbench belongs to exactly one family.
     assert_eq!(
         d_jtl + d_dff + d_and,
         full,
