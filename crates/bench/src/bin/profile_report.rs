@@ -8,14 +8,14 @@
 //! ```
 //!
 //! The full workload is the fig. 20 buffer-division sweep (exercises
-//! the estimator cache and `sfq-par` worker frames), a from-scratch
+//! the estimator cache and `sfq-par` worker regions), a from-scratch
 //! stdlib characterization (transient solver under the chars cache
 //! fill path) plus one repeat call (the cache hit path), and a
 //! 40-stage JTL banded-cell transient wrapped in a `banded_cell`
-//! frame. The banded cell is where the coverage contract lives: the
-//! profiled kernel self-times under `banded_cell;solver.run` must
-//! explain at least [`MIN_SELF_COVERAGE`] of its inclusive time, else
-//! the solver's `KernelProf` laps have drifted off the hot loops.
+//! region. The banded cell is where the coverage contract lives: the
+//! profiled kernel self-times under `banded_cell;jjsim.solver.run`
+//! must explain at least [`MIN_SELF_COVERAGE`] of its inclusive time,
+//! else the solver's `KernelProf` laps have drifted off the hot loops.
 //!
 //! `--smoke` swaps in a seconds-scale workload (estimator point +
 //! short banded transient), skips the coverage hard-fail (debug-build
@@ -35,7 +35,7 @@ use serde_json::Value;
 use sfq_obs::prof;
 use supernpu_bench::report::die;
 
-/// Required fraction of `banded_cell;solver.run` inclusive time
+/// Required fraction of `banded_cell;jjsim.solver.run` inclusive time
 /// explained by profiled descendant self-times (full mode).
 const MIN_SELF_COVERAGE: f64 = 0.9;
 
@@ -44,9 +44,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// One adaptive banded-cell transient inside a `banded_cell` frame.
+/// One adaptive banded-cell transient inside a `banded_cell` region.
 fn banded_transient(stages: usize, t_end: f64) {
-    let _pf = prof::frame("banded_cell");
+    let _cell = sfq_obs::region("banded_cell");
     let (circuit, _probes) = jtl_chain(stages, &JtlParams::default());
     let solver = Solver::new(circuit, SimOptions::adaptive())
         .unwrap_or_else(|e| die(format!("stdlib circuit rejected: {e}")));
@@ -121,7 +121,7 @@ fn main() {
     println!("\n{}", report.render_top_table());
 
     // Coverage: profiled kernel self-times vs the banded solver run.
-    let run_path = "banded_cell;solver.run";
+    let run_path = "banded_cell;jjsim.solver.run";
     let Some(run) = report.path(run_path) else {
         supernpu_bench::session::fail(format!(
             "profile has no '{run_path}' path — solver frames missing"
@@ -134,7 +134,7 @@ fn main() {
         0.0
     };
     println!(
-        "banded_cell;solver.run: incl {:.3} ms, kernel self {:.3} ms, coverage {:.1}%",
+        "banded_cell;jjsim.solver.run: incl {:.3} ms, kernel self {:.3} ms, coverage {:.1}%",
         run.incl_ms,
         kernel_self_ms,
         coverage * 100.0

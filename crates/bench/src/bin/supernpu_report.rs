@@ -34,17 +34,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Ledger dir default mirrors `sfq_obs::ledger`: `SUPERNPU_LEDGER`
-/// when it names a directory, else `results/ledger`.
-fn default_ledger_dir() -> PathBuf {
-    match std::env::var("SUPERNPU_LEDGER") {
-        Ok(v) if !["", "0", "false", "off"].contains(&v.trim()) => PathBuf::from(v.trim()),
-        _ => PathBuf::from(sfq_obs::ledger::DEFAULT_DIR),
-    }
-}
-
 fn main() {
-    let mut ledger_dir = default_ledger_dir();
+    // The ledger directory this process would write (`SUPERNPU_LEDGER`
+    // when it names one), else the default.
+    let mut ledger_dir =
+        sfq_obs::ledger::dir().unwrap_or_else(|| PathBuf::from(sfq_obs::ledger::DEFAULT_DIR));
     let mut out_dir = PathBuf::from("results");
     let mut bench_dir = PathBuf::from(".");
     let mut tol = Tolerances::default();

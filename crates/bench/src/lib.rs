@@ -3,8 +3,8 @@
 //! Experiment regenerators for the SuperNPU reproduction: one binary
 //! per paper table, figure and extension study (`fig05_network`, …,
 //! `full_report`), each rendered from the one [`artifacts`] table, plus
-//! the bench gates and Criterion benchmarks of the simulator,
-//! estimator and transient circuit solver.
+//! the bench binaries and regression gates of the simulator, estimator
+//! and transient circuit solver.
 //!
 //! Regenerate every artifact, in one process, with:
 //!

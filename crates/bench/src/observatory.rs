@@ -19,11 +19,11 @@
 //!   their detected schema and declared `schema_version`.
 //!
 //! **Fingerprint rule**: FNV-1a over the name-sorted `SUPERNPU_*`
-//! knobs minus the observability-only ones (`SUPERNPU_LEDGER`,
-//! `SUPERNPU_PROGRESS`, `SUPERNPU_LOG`, `SUPERNPU_METRICS*`,
-//! `SUPERNPU_TRACE*`, `SUPERNPU_PROFILE*`) — turning a trace on must
-//! not split a trend — plus the resolved threads/chunk/lanes, the
-//! cargo profile and the target triple.
+//! knobs minus the observability-only ones ([`sfq_obs::KNOBS`] as
+//! prefixes: `SUPERNPU_LEDGER`, `SUPERNPU_PROGRESS`, `SUPERNPU_LOG`,
+//! `SUPERNPU_METRICS*`, `SUPERNPU_TRACE*`, `SUPERNPU_PROFILE*`) —
+//! turning a trace on must not split a trend — plus the resolved
+//! threads/chunk/lanes, the cargo profile and the target triple.
 //!
 //! Everything here is a pure function of its inputs (no clocks, no
 //! thread-count dependence), so the rendered reports are byte-stable
@@ -35,17 +35,6 @@ use serde::Value;
 use sfq_obs::ledger::{RunManifest, RunOutcome};
 
 use crate::gate::Tolerances;
-
-/// Observability-only knobs excluded from the config fingerprint:
-/// they change what a run *records*, never what it *computes*.
-pub const FINGERPRINT_EXCLUDED_PREFIXES: [&str; 6] = [
-    "SUPERNPU_LEDGER",
-    "SUPERNPU_PROGRESS",
-    "SUPERNPU_LOG",
-    "SUPERNPU_METRICS",
-    "SUPERNPU_TRACE",
-    "SUPERNPU_PROFILE",
-];
 
 /// One committed `BENCH_*.json` baseline, inventoried in the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,9 +105,9 @@ pub fn load_ledger(dir: &Path) -> Result<Vec<RunManifest>, String> {
 pub fn fingerprint(m: &RunManifest) -> u64 {
     let mut canon = String::new();
     for k in &m.env {
-        let excluded = FINGERPRINT_EXCLUDED_PREFIXES
-            .iter()
-            .any(|p| k.name.starts_with(p));
+        // Observability-only knobs change what a run records, never
+        // what it computes.
+        let excluded = sfq_obs::KNOBS.iter().any(|p| k.name.starts_with(p));
         if !excluded {
             canon.push_str(&k.name);
             canon.push('=');

@@ -23,7 +23,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use jjsim::extract::{
     and_clock_to_q, and_cycle_energy, dff_clock_to_q, dff_cycle_energy, jtl_characteristics,
@@ -161,41 +161,37 @@ pub fn measure_with(
 ) -> Result<Measurements, SimError> {
     let key = measure_key(jtl_p, dff_p, and_p);
 
-    let _pf = sfq_obs::prof::frame("chars.measure");
+    let _measure = sfq_obs::region("chars.measure");
     if let Some(m) = MEASUREMENTS.get(&key) {
         sfq_obs::prof::count("cache_hit", 1);
         return Ok(m);
     }
     sfq_obs::prof::count("cache_miss", 1);
-    let fill_started = sfq_obs::enabled().then(Instant::now);
-    let fill_frame = sfq_obs::prof::frame("fill");
+    let fill = sfq_obs::region("chars.measure.fill");
     let m = run_testbenches(jtl_p, dff_p, and_p)?;
-    drop(fill_frame);
-    if let Some(t0) = fill_started {
-        sfq_obs::observe("chars.measure.fill_ms", t0.elapsed().as_secs_f64() * 1e3);
-    }
+    drop(fill);
     MEASUREMENTS.insert(key, m);
     Ok(m)
 }
 
-/// The seven testbench extractions, one profile frame per cell
-/// family. JTL numbers depend only on `jtl_p`, DFF and shift-register
-/// numbers only on `dff_p`, AND numbers only on `and_p`.
+/// The seven testbench extractions, one region per cell family. JTL
+/// numbers depend only on `jtl_p`, DFF and shift-register numbers only
+/// on `dff_p`, AND numbers only on `and_p`.
 fn run_testbenches(
     jtl_p: &JtlParams,
     dff_p: &DffParams,
     and_p: &AndParams,
 ) -> Result<Measurements, SimError> {
-    let frame = sfq_obs::prof::frame("jtl_bench");
+    let bench = sfq_obs::region("chars.jtl_bench");
     let jtl = jtl_characteristics(JTL_STAGES, jtl_p)?;
     let splitter_delay_ps = splitter_delay(jtl_p)? * 1e12;
-    drop(frame);
-    let frame = sfq_obs::prof::frame("dff_bench");
+    drop(bench);
+    let bench = sfq_obs::region("chars.dff_bench");
     let dff_delay_ps = dff_clock_to_q(dff_p)? * 1e12;
     let dff_energy_aj = dff_cycle_energy(dff_p)? * 1e18;
     let sr_max_ghz = max_shift_frequency(dff_p, SR_BISECT_LO_PS, SR_BISECT_HI_PS)? / 1e9;
-    drop(frame);
-    let _frame = sfq_obs::prof::frame("and_bench");
+    drop(bench);
+    let _bench = sfq_obs::region("chars.and_bench");
     Ok(Measurements {
         jtl_delay_ps: jtl.delay_s * 1e12,
         jtl_energy_aj: jtl.energy_j * 1e18,

@@ -109,12 +109,9 @@ impl Fig20Ctx {
     }
 
     fn point(&self, division: u32) -> BufferSweepPoint {
-        let _point = sfq_obs::span("explore.fig20.point_ms");
-        let _ppoint = if sfq_obs::prof::detail_enabled() {
-            sfq_obs::prof::frame(&format!("fig20 d={division}"))
-        } else {
-            sfq_obs::prof::frame("fig20.point")
-        };
+        let _point = sfq_obs::region("explore.fig20.point");
+        let _detail = sfq_obs::prof::detail_enabled()
+            .then(|| sfq_obs::region(&format!("fig20 d={division}")));
         let npu = NpuConfig {
             name: format!("+Division {division}"),
             division,
@@ -142,9 +139,7 @@ impl Fig20Ctx {
 /// (unless a point is lost).
 pub fn fig20_buffer_sweep() -> Vec<BufferSweepPoint> {
     memoized("fig20_buffer_sweep", || {
-        let _sweep = sfq_obs::span("explore.fig20.ms");
-        let _prof = sfq_obs::prof::frame("explore.fig20");
-        let _trace = sfq_obs::trace::span("sweep", "fig20 buffer sweep");
+        let _sweep = sfq_obs::region("explore.fig20");
         sfq_obs::log(sfq_obs::Level::Info, || {
             "fig20: buffer-division sweep starting".into()
         });
@@ -171,8 +166,7 @@ pub fn fig20_buffer_sweep() -> Vec<BufferSweepPoint> {
 pub fn fig20_buffer_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<BufferSweepPoint>, SweepError> {
-    let _sweep = sfq_obs::span("explore.fig20.ms");
-    let _trace = sfq_obs::trace::span("sweep", "fig20 buffer sweep (resilient)");
+    let _sweep = sfq_obs::region("explore.fig20");
     let ctx = Fig20Ctx::new();
     let eval = |i: usize| {
         if i == 0 {
@@ -244,12 +238,9 @@ impl Fig21Ctx {
     }
 
     fn point(&self, width: u32, buffer_mb: u32) -> ResourceSweepPoint {
-        let _point = sfq_obs::span("explore.fig21.point_ms");
-        let _ppoint = if sfq_obs::prof::detail_enabled() {
-            sfq_obs::prof::frame(&format!("fig21 w={width} b={buffer_mb}MB"))
-        } else {
-            sfq_obs::prof::frame("fig21.point")
-        };
+        let _point = sfq_obs::region("explore.fig21.point");
+        let _detail = sfq_obs::prof::detail_enabled()
+            .then(|| sfq_obs::region(&format!("fig21 w={width} b={buffer_mb}MB")));
         let make = |total_mb: u64| {
             let npu = NpuConfig {
                 name: format!("width {width}"),
@@ -295,9 +286,7 @@ impl Fig21Ctx {
 /// Computed once per process (unless a point is lost).
 pub fn fig21_resource_sweep() -> Vec<ResourceSweepPoint> {
     memoized("fig21_resource_sweep", || {
-        let _sweep = sfq_obs::span("explore.fig21.ms");
-        let _prof = sfq_obs::prof::frame("explore.fig21");
-        let _trace = sfq_obs::trace::span("sweep", "fig21 resource sweep");
+        let _sweep = sfq_obs::region("explore.fig21");
         sfq_obs::log(sfq_obs::Level::Info, || {
             "fig21: resource-balancing sweep starting".into()
         });
@@ -318,8 +307,7 @@ pub fn fig21_resource_sweep() -> Vec<ResourceSweepPoint> {
 pub fn fig21_resource_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<ResourceSweepPoint>, SweepError> {
-    let _sweep = sfq_obs::span("explore.fig21.ms");
-    let _trace = sfq_obs::trace::span("sweep", "fig21 resource sweep (resilient)");
+    let _sweep = sfq_obs::region("explore.fig21");
     let ctx = Fig21Ctx::new();
     let eval = |i: usize| {
         let (width, buffer_mb) = FIG21_SCHEDULE[i];
@@ -382,12 +370,9 @@ impl Fig22Ctx {
     }
 
     fn point(&self, width: u32, buffer_mb: u64, regs: u32) -> RegisterSweepPoint {
-        let _point = sfq_obs::span("explore.fig22.point_ms");
-        let _ppoint = if sfq_obs::prof::detail_enabled() {
-            sfq_obs::prof::frame(&format!("fig22 w={width} r={regs}"))
-        } else {
-            sfq_obs::prof::frame("fig22.point")
-        };
+        let _point = sfq_obs::region("explore.fig22.point");
+        let _detail = sfq_obs::prof::detail_enabled()
+            .then(|| sfq_obs::region(&format!("fig22 w={width} r={regs}")));
         let npu = NpuConfig {
             name: format!("w{width} r{regs}"),
             array_width: width,
@@ -414,9 +399,7 @@ impl Fig22Ctx {
 /// (unless a point is lost).
 pub fn fig22_register_sweep() -> Vec<RegisterSweepPoint> {
     memoized("fig22_register_sweep", || {
-        let _sweep = sfq_obs::span("explore.fig22.ms");
-        let _prof = sfq_obs::prof::frame("explore.fig22");
-        let _trace = sfq_obs::trace::span("sweep", "fig22 register sweep");
+        let _sweep = sfq_obs::region("explore.fig22");
         sfq_obs::log(sfq_obs::Level::Info, || {
             "fig22: per-PE register sweep starting".into()
         });

@@ -48,7 +48,7 @@ impl Candidate {
 /// set, so affining them to one worker keeps those memos cache-warm
 /// while stealing still rebalances if one width runs long.
 pub fn evaluate_grid() -> Vec<Candidate> {
-    let _trace = sfq_obs::trace::span("sweep", "pareto grid");
+    let _grid = sfq_obs::region("pareto.grid");
     let points = grid_points();
 
     // Shared across candidates: the cell library and workload zoo are

@@ -447,7 +447,7 @@ where
     F: Fn(usize) -> P + Sync,
     G: Fn(usize) -> P + Sync,
 {
-    let _trace = sfq_obs::trace::span("sweep", "resilient sweep");
+    let _sweep = sfq_obs::region("resilient.sweep");
     let indices: Vec<usize> = (0..n).collect();
 
     let mut resolved: Vec<ResolvedPoint<P>> = match (&opts.checkpoint_path, opts.resume) {
@@ -460,7 +460,7 @@ where
     // Progress: the sweep narrates itself under its own name; the
     // par_map regions underneath see the slot taken and stay quiet.
     // Restored points count as done immediately.
-    let progress = sfq_obs::progress::Region::enter(name, n as u64);
+    let progress = sfq_obs::progress::Phase::enter(name, n as u64);
     if progress.is_claimed() {
         sfq_obs::progress::tick(restored as u64);
     }

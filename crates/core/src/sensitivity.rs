@@ -67,7 +67,7 @@ fn bandwidth_point(nets: &[Network], bw: f64) -> BandwidthPoint {
 
 /// Sweep the off-chip bandwidth for both machines.
 pub fn bandwidth_sweep() -> Vec<BandwidthPoint> {
-    let _trace = sfq_obs::trace::span("sweep", "bandwidth sweep");
+    let _sweep = sfq_obs::region("sensitivity.bandwidth");
     let nets = paper_workloads();
     par_map(&BANDWIDTH_LINKS, |&bw| bandwidth_point(&nets, bw))
 }
@@ -87,7 +87,7 @@ pub struct ProcessPoint {
 /// 200 nm) and re-simulate: the memory wall, not the junctions, caps
 /// the gains.
 pub fn process_sweep() -> Vec<ProcessPoint> {
-    let _trace = sfq_obs::trace::span("sweep", "process sweep");
+    let _sweep = sfq_obs::region("sensitivity.process");
     let base = DesignPoint::SuperNpu.sim_config();
     let nets = paper_workloads();
     let features = [1.0f64, 0.8, 0.5, 0.35, 0.2, 0.1];
@@ -118,7 +118,7 @@ pub struct CoolingPoint {
 /// that reproduces the paper's 400× at 4 K). SFQ circuits need ≲5 K,
 /// so warmer rows are hypothetical-technology what-ifs.
 pub fn cooling_sweep(ersfq_chip_w: f64, speedup: f64) -> Vec<CoolingPoint> {
-    let _trace = sfq_obs::trace::span("sweep", "cooling sweep");
+    let _sweep = sfq_obs::region("sensitivity.cooling");
     let tpu = cryo::PowerEfficiency::new(1.0, 40.0);
     let stages = [4.2f64, 10.0, 20.0, 40.0, 77.0];
     par_map(&stages, |&t| {

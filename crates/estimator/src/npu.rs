@@ -2,8 +2,6 @@
 //! models into whole-NPU frequency, power, area and per-access energy
 //! numbers.
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 use sfq_cells::{scaling, CellLibrary, GateKind};
 use sfq_obs::Memo;
@@ -297,22 +295,15 @@ pub fn clear_estimate_cache() {
 /// assert their inputs).
 pub fn estimate(cfg: &NpuConfig, lib: &CellLibrary) -> NpuEstimate {
     let key: EstimateKey = (cfg.clone(), library_fingerprint(lib));
-    let _pf = sfq_obs::prof::frame("estimator.estimate");
+    let _estimate = sfq_obs::region("estimator.estimate");
     if let Some(est) = ESTIMATES.get(&key) {
         sfq_obs::prof::count("cache_hit", 1);
         return est;
     }
     sfq_obs::prof::count("cache_miss", 1);
-    let fill_started = sfq_obs::enabled().then(Instant::now);
-    let fill_frame = sfq_obs::prof::frame("fill");
+    let fill = sfq_obs::region("estimator.estimate.fill");
     let est = estimate_uncached(cfg, lib);
-    drop(fill_frame);
-    if let Some(t0) = fill_started {
-        sfq_obs::observe(
-            "estimator.estimate.fill_ms",
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
-    }
+    drop(fill);
     ESTIMATES.insert(key, est.clone());
     est
 }

@@ -10,11 +10,13 @@
 //! checkpoint intact; a crash after leaves the new one; no
 //! interleaving exists in which a reader sees a mix.
 //!
-//! Generalized out of the `sfq-faults` Monte-Carlo (PR 4) so every
-//! sweep in the workspace shares one audited implementation.
+//! The writer itself is `sfq_obs::ledger::atomic_write`, which the
+//! run ledger shares (obs cannot depend on this crate); this module
+//! adds the typed error, the JSON helpers and the `guard.checkpoint.*`
+//! counters, so every sweep in the workspace shares one audited
+//! implementation.
 
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
@@ -61,39 +63,16 @@ fn io_err(path: &Path, e: &std::io::Error) -> CheckpointError {
 
 /// The temporary sibling `atomic_write` stages into: `<path>.tmp`.
 /// Exposed so torn-write tests (and cleanup) can name it.
-#[must_use]
-pub fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map_or_else(
-        || std::ffi::OsString::from("checkpoint"),
-        std::ffi::OsStr::to_os_string,
-    );
-    name.push(".tmp");
-    path.with_file_name(name)
-}
+pub use sfq_obs::ledger::tmp_path;
 
-/// Atomically replace `path` with `bytes`: temp file in the same
-/// directory → write → fsync → rename. Creates missing parent
+/// Atomically replace `path` with `bytes` through the workspace's one
+/// writer, [`sfq_obs::ledger::atomic_write`]: temp file in the same
+/// directory → write → fsync → rename, creating missing parent
 /// directories. After a successful return the new content is durable
 /// and no temp file remains; on any failure the previous checkpoint
 /// (if any) is untouched.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).map_err(|e| io_err(path, &e))?;
-    }
-    let tmp = tmp_path(path);
-    let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-    f.write_all(bytes).map_err(|e| io_err(&tmp, &e))?;
-    f.sync_all().map_err(|e| io_err(&tmp, &e))?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, &e))?;
-    // Make the rename itself durable; best-effort (some filesystems
-    // reject directory fsync, and the data is already safe either
-    // way — old or new, never torn).
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    sfq_obs::ledger::atomic_write(path, bytes).map_err(|e| io_err(path, &e))?;
     sfq_obs::inc("guard.checkpoint.write");
     Ok(())
 }
@@ -130,6 +109,7 @@ pub fn load_json<T: Deserialize>(path: &Path) -> Result<Option<T>, CheckpointErr
 mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
+    use std::path::PathBuf;
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
     struct Payload {

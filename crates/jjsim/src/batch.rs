@@ -409,10 +409,10 @@ fn same_topology(a: &Circuit, b: &Circuit) -> bool {
 /// Advance one group of 2..=LANES instances; per instance its result,
 /// or why its lane retired (the caller reruns those on one lane).
 ///
-/// Frames: `solver.batch` carries the lane bookkeeping counters; the
-/// engine's nested `solver.run` carries the kernel laps under the same
-/// path names as a one-lane run, so profiler coverage accounting
-/// attributes batch work as solver work.
+/// Frames: `jjsim.solver.batch` carries the lane bookkeeping counters;
+/// the engine's nested `jjsim.solver.run` carries the kernel laps
+/// under the same path names as a one-lane run, so profiler coverage
+/// accounting attributes batch work as solver work.
 fn run_group(
     ckts: &[Circuit],
     opts: &SimOptions,
@@ -420,7 +420,7 @@ fn run_group(
     faults: &[(usize, f64)],
 ) -> Vec<Result<SimResult, Retire>> {
     let k = ckts.len() as u64;
-    let prof_batch = sfq_obs::prof::frame("solver.batch");
+    let prof_batch = sfq_obs::region("jjsim.solver.batch");
     let out = engine::run::<LANES, BatchPolicy>(ckts, opts, t_end, faults);
     let m = &out.counters;
     if sfq_obs::prof::enabled() {

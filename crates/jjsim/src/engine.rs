@@ -282,14 +282,14 @@ const K_COMMIT: usize = 8;
 const K_SLOTS: usize = 9;
 
 /// Per-run kernel-time accumulators for the hierarchical profiler,
-/// merged under the open `solver.run` frame in one batch when the run
+/// merged under the open `jjsim.solver.run` frame in one batch when the run
 /// ends — the same local-accumulate/flush-once pattern as
 /// [`Counters`], so the per-iteration cost with profiling off is a
 /// branch on a cached bool. Sections share boundary timestamps
 /// ([`KernelProf::lap`] ends one section and starts the next with a
 /// single clock read), so consecutive kernels leave no unattributed
 /// gap between them — that is what keeps profiled self-time coverage
-/// of `solver.run` above the bench gate's floor.
+/// of `jjsim.solver.run` above the bench gate's floor.
 struct KernelProf {
     on: bool,
     mark: Instant,
@@ -327,7 +327,7 @@ impl KernelProf {
     }
 
     /// Merge the accumulated kernel times under the innermost open
-    /// profile frame (`solver.run`) and attach the run's unit
+    /// profile frame (`jjsim.solver.run`) and attach the run's unit
     /// counters. `newton`'s children carry their own self time, so its
     /// own self is only the convergence-check remainder.
     fn flush(&self, m: &Counters) {
@@ -578,7 +578,7 @@ pub(crate) struct Outcome {
 }
 
 /// Advance `ckts` (1 ≤ len ≤ `N`, one topology) from t = 0 to `t_end`
-/// in lockstep, under one `solver.run` profile frame. `faults` are
+/// in lockstep, under one `jjsim.solver.run` region. `faults` are
 /// test-hook `(circuit, t_after)` pairs that retire that circuit's
 /// lane at the first step boundary at or past `t_after`.
 pub(crate) fn run<const N: usize, P: Policy<N>>(
@@ -598,11 +598,12 @@ pub(crate) fn run<const N: usize, P: Policy<N>>(
     // per run; the dt histogram is resolved once so the hot loop pays
     // a pointer deref, not a registry lookup.
     let trace_detail = P::STEP_EVENTS && sfq_obs::trace::detail_enabled();
-    // Kernel-level profile attribution under one frame per run;
-    // `kprof` accumulates section times in locals and merges them
-    // under this frame at the end, so the frame's self time is only
-    // the un-kerneled loop control.
-    let prof_run = sfq_obs::prof::frame("solver.run");
+    // One region per run: a wall-clock slice, the `run_ms` histogram
+    // and the profile frame that kernel-level attribution merges
+    // under. `kprof` accumulates section times in locals and merges
+    // them under this frame at the end, so the frame's self time is
+    // only the un-kerneled loop control.
+    let prof_run = sfq_obs::region("jjsim.solver.run");
     let mut kprof = KernelProf::start();
     let dt_hist =
         (P::STEP_EVENTS && sfq_obs::enabled()).then(|| sfq_obs::histogram("jjsim.solver.dt_ps"));

@@ -12,8 +12,6 @@
 //! failure at `dt_min`, a singular matrix or a budget stop. Its output
 //! bits are pinned by `tests/golden_bits.rs`.
 
-use std::time::Instant;
-
 use crate::circuit::Circuit;
 use crate::engine::{self, transient_counter, Counters, LaneState, Policy, Retire};
 use crate::error::SimError;
@@ -311,10 +309,6 @@ impl Solver {
     /// budget returns [`SimError::Cancelled`] or
     /// [`SimError::BudgetExceeded`].
     pub fn try_run(&self, t_end: f64) -> Result<SimResult, SimError> {
-        let started = sfq_obs::enabled().then(Instant::now);
-        // One wall-clock slice per transient run (records on every exit
-        // path, including errors).
-        let _trace_run = sfq_obs::trace::span("jjsim", "solver.run");
         let out =
             engine::run::<1, ScalarPolicy>(std::slice::from_ref(&self.ckt), &self.opts, t_end, &[]);
         let [result] = <[_; 1]>::try_from(out.results)
@@ -331,14 +325,14 @@ impl Solver {
                 time,
             },
         });
-        flush_metrics(&out.counters, started, result.as_ref().err());
+        flush_metrics(&out.counters, result.as_ref().err());
         result
     }
 }
 
 /// Flush a one-lane run's counters into the [`sfq_obs`] registry
 /// under `jjsim.solver.*`, gated on [`sfq_obs::enabled`].
-fn flush_metrics(m: &Counters, started: Option<Instant>, error: Option<&SimError>) {
+fn flush_metrics(m: &Counters, error: Option<&SimError>) {
     if !sfq_obs::enabled() {
         return;
     }
@@ -361,9 +355,6 @@ fn flush_metrics(m: &Counters, started: Option<Instant>, error: Option<&SimError
             sfq_obs::inc("jjsim.solver.singular_matrix");
         }
         _ => {}
-    }
-    if let Some(t0) = started {
-        sfq_obs::observe("jjsim.solver.run_ms", t0.elapsed().as_secs_f64() * 1e3);
     }
 }
 

@@ -37,7 +37,7 @@ pub fn simulate_layer_with_faults(
     ifmap_resident: bool,
     faults: &PulseFaults,
 ) -> LayerStats {
-    let _pf = sfq_obs::prof::frame(match layer.kind() {
+    let _layer = sfq_obs::region(match layer.kind() {
         LayerKind::Conv => "npusim.layer.conv",
         LayerKind::Depthwise => "npusim.layer.depthwise",
         LayerKind::FullyConnected => "npusim.layer.fc",

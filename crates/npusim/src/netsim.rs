@@ -50,8 +50,7 @@ pub fn simulate_network_with_fault_plan(
     plan: &[PulseFaults],
 ) -> NetworkStats {
     assert!(batch > 0, "batch must be positive");
-    let _span = sfq_obs::span("npusim.network.sim_ms");
-    let _pf = sfq_obs::prof::frame("npusim.network");
+    let _network = sfq_obs::region("npusim.network");
     sfq_obs::inc("npusim.network.count");
     let est = estimate(&cfg.npu, &CellLibrary::aist_10um());
     let out_cap = cfg.npu.output_buf_bytes + cfg.npu.psum_buf_bytes;

@@ -20,18 +20,17 @@
 //! always-on `obs.ledger.write_errors` counter and print to stderr —
 //! a full disk must not take down the sweep it was auditing.
 //!
-//! The atomic temp+fsync+rename writer is a local mirror of
-//! `sfq_guard::checkpoint::atomic_write`: `sfq-guard` depends on this
-//! crate (its checkpoint writer bumps an obs counter), so calling back
-//! into it from here would be a dependency cycle.
+//! [`atomic_write`] is the workspace's one temp+fsync+rename writer:
+//! `sfq_guard::checkpoint::atomic_write` calls it and maps the error.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::switch;
 
 /// Default ledger directory, relative to the working directory of the
 /// run (the same convention the trace/metrics sinks use).
@@ -39,68 +38,27 @@ pub const DEFAULT_DIR: &str = "results/ledger";
 
 // ------------------------------------------------------------- enable gate
 
-/// Tri-state: 0 = not yet read from the environment, 1 = off, 2 = on.
-static LEDGER_STATE: AtomicU8 = AtomicU8::new(0);
-
-fn dir_slot() -> &'static Mutex<Option<PathBuf>> {
-    static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-    DIR.get_or_init(|| Mutex::new(None))
-}
-
-/// Whether ledger recording is on.
-///
-/// First call resolves the `SUPERNPU_LEDGER` env var (unset → on with
+/// Whether ledger recording is on: `SUPERNPU_LEDGER` unset → on with
 /// [`DEFAULT_DIR`]; empty/`0`/`false`/`off` → off; anything else → on
-/// with that value as the directory); after that — or after
-/// [`set_dir`] — it is a single relaxed atomic load.
+/// with that value as the directory; or [`set_dir`]. One relaxed
+/// atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match LEDGER_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_ledger_state(),
-    }
-}
-
-#[cold]
-fn init_ledger_state() -> bool {
-    let (on, dir) = match std::env::var("SUPERNPU_LEDGER") {
-        Err(_) => (true, Some(PathBuf::from(DEFAULT_DIR))),
-        Ok(v) if !crate::truthy(&v) => (false, None),
-        Ok(v) => (true, Some(PathBuf::from(v.trim()))),
-    };
-    let mut slot = lock_ignore_poison(dir_slot());
-    if slot.is_none() {
-        *slot = dir;
-    }
-    LEDGER_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    switch::on(switch::LEDGER)
 }
 
 /// Programmatically point the ledger at `dir` (`Some`) or disable it
 /// (`None`), overriding the env var. Tests use this to isolate their
 /// ledger directories.
 pub fn set_dir(dir: Option<&Path>) {
-    let mut slot = lock_ignore_poison(dir_slot());
-    match dir {
-        Some(d) => {
-            *slot = Some(d.to_path_buf());
-            LEDGER_STATE.store(2, Ordering::Relaxed);
-        }
-        None => {
-            *slot = None;
-            LEDGER_STATE.store(1, Ordering::Relaxed);
-        }
-    }
+    switch::paths().ledger = dir.map(Path::to_path_buf);
+    switch::set(switch::LEDGER, dir.is_some());
 }
 
 /// The directory manifests land in, if the ledger is enabled.
 #[must_use]
 pub fn dir() -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
-    lock_ignore_poison(dir_slot()).clone()
+    switch::paths().ledger.clone().filter(|_| enabled())
 }
 
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -199,10 +157,7 @@ struct RunState {
     jsonl_done: bool,
 }
 
-fn run_state() -> &'static Mutex<Option<RunState>> {
-    static STATE: OnceLock<Mutex<Option<RunState>>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(None))
-}
+static RUN: Mutex<Option<RunState>> = Mutex::new(None);
 
 /// Open a run record for `bin`. Called once at the top of every
 /// bench/figure bin (via `bench::session::begin`); a second call
@@ -211,7 +166,7 @@ pub fn begin(bin: &str) {
     if !enabled() {
         return;
     }
-    let mut state = lock_ignore_poison(run_state());
+    let mut state = lock_ignore_poison(&RUN);
     *state = Some(RunState {
         bin: bin.to_owned(),
         args: std::env::args().skip(1).collect(),
@@ -234,7 +189,7 @@ pub fn set_config(threads: u64, chunk: u64, lanes: u64) {
     if !enabled() {
         return;
     }
-    if let Some(st) = lock_ignore_poison(run_state()).as_mut() {
+    if let Some(st) = lock_ignore_poison(&RUN).as_mut() {
         st.threads = Some(threads);
         st.chunk = Some(chunk);
         st.lanes = Some(lanes);
@@ -246,7 +201,7 @@ pub fn record_seed(seed: u64) {
     if !enabled() {
         return;
     }
-    if let Some(st) = lock_ignore_poison(run_state()).as_mut() {
+    if let Some(st) = lock_ignore_poison(&RUN).as_mut() {
         if !st.seeds.contains(&seed) {
             st.seeds.push(seed);
         }
@@ -264,7 +219,7 @@ pub fn record_artifact(path: &Path) {
         .and_then(|cwd| path.strip_prefix(&cwd).ok().map(Path::to_path_buf))
         .unwrap_or_else(|| path.to_path_buf());
     let rel = rel.display().to_string();
-    if let Some(st) = lock_ignore_poison(run_state()).as_mut() {
+    if let Some(st) = lock_ignore_poison(&RUN).as_mut() {
         if !st.artifacts.contains(&rel) {
             st.artifacts.push(rel);
         }
@@ -277,7 +232,7 @@ pub fn set_outcome(outcome: RunOutcome) {
     if !enabled() {
         return;
     }
-    if let Some(st) = lock_ignore_poison(run_state()).as_mut() {
+    if let Some(st) = lock_ignore_poison(&RUN).as_mut() {
         if outcome.rank() > st.outcome.rank() {
             st.outcome = outcome;
         }
@@ -304,7 +259,7 @@ pub fn flush() {
         return;
     }
     let Some(dir) = dir() else { return };
-    let mut state = lock_ignore_poison(run_state());
+    let mut state = lock_ignore_poison(&RUN);
     let Some(st) = state.as_mut() else { return };
     if std::thread::panicking() && RunOutcome::Panicked.rank() > st.outcome.rank() {
         st.outcome = RunOutcome::Panicked;
@@ -447,11 +402,10 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// Atomically replace `path` with `bytes`: temp file in the same
-/// directory → write → fsync → rename, creating missing parents. A
-/// crash mid-write leaves at worst a torn `.tmp` sibling; the
-/// destination is always the last complete manifest. (Local mirror of
-/// `sfq_guard::checkpoint::atomic_write` — see the module docs for
-/// why the guard crate cannot be used from here.)
+/// directory (rename is only atomic within a filesystem) → write →
+/// fsync → rename, creating missing parents. A crash mid-write leaves
+/// at worst a torn `.tmp` sibling; the destination is always the last
+/// complete file.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
@@ -462,6 +416,8 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)?;
+    // Make the rename itself durable; best-effort (some filesystems
+    // reject directory fsync, and the data is safe either way).
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all();

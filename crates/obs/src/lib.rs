@@ -3,28 +3,34 @@
 //! Unified tracing & metrics layer for the SuperNPU workspace: a
 //! lightweight, dependency-free registry of named metrics — atomic
 //! [`Counter`]s, [`Gauge`]s and log-bucketed latency [`Histogram`]s —
-//! plus scoped [`Span`] timers and the [`Memo`] type, shared by the
-//! `jjsim` solver, the memo caches, the `sfq-par` worker pool, the
-//! `npusim` cycle simulator and the `supernpu` sweep engine.
+//! plus the [`region`] scope guard (one profile frame, trace slice and
+//! `<name>_ms` histogram per scope), the [`prof`] profiler, the
+//! [`trace`] event recorder, the run [`ledger`], the [`progress`]
+//! ticker and the [`Memo`] type, shared by the `jjsim` solver, the
+//! memo caches, the `sfq-par` worker pool, the `npusim` cycle
+//! simulator and the `supernpu` sweep engine.
 //!
 //! ## Naming scheme
 //!
-//! Metric names are hierarchical, dot-separated, lowercase:
-//! `<crate>.<subsystem>.<quantity>` — e.g.
-//! `jjsim.solver.newton_iters`, `chars.measure.cache_hit`,
-//! `par.task_ms`, `npusim.layer.stall_cycles`,
-//! `explore.fig20.point_ms`. Duration histograms end in `_ms` and
-//! record milliseconds.
+//! Names are hierarchical, dot-separated, lowercase:
+//! `<crate>.<subsystem>.<what>` — e.g. `jjsim.solver.newton_iters`,
+//! `chars.measure.cache_hit`, `par.task_ms`,
+//! `npusim.layer.stall_cycles`, `explore.fig20.point`. Duration
+//! histograms end in `_ms` and record milliseconds.
 //!
 //! ## Gating
 //!
-//! Everything is off by default. Two env knobs (or their programmatic
-//! equivalents [`set_enabled`] / [`set_log_level`]) turn it on:
+//! Everything except the ledger is off by default. One switch reads
+//! the nine observability variables ([`KNOBS`]) once, into one flag
+//! word; the programmatic setters ([`set_enabled`], [`set_log_level`],
+//! `prof::set_profile`, `trace::set_trace`, …) flip its bits:
 //!
 //! * `SUPERNPU_METRICS=1` — record metrics at the gated call sites
-//!   ([`add`], [`observe`], [`gauge_set`], [`span`]).
+//!   ([`add`], [`observe`], [`gauge_set`], [`region`]).
 //! * `SUPERNPU_LOG=error|warn|info|debug|trace` — emit [`log`] lines
 //!   on stderr at or above the given level.
+//! * `SUPERNPU_PROFILE`, `SUPERNPU_TRACE`, `SUPERNPU_LEDGER`,
+//!   `SUPERNPU_PROGRESS` and the detail knobs — see their modules.
 //!
 //! The disabled fast path of every gated helper is a single relaxed
 //! atomic load followed by an early return: no locking, no allocation,
@@ -60,10 +66,11 @@
 //! sfq_obs::inc("demo.events");
 //! sfq_obs::observe("demo.latency_ms", 0.25);
 //! {
-//!     let _span = sfq_obs::span("demo.block_ms"); // records on drop
+//!     let _region = sfq_obs::region("demo.block"); // demo.block_ms on drop
 //! }
 //! let report = sfq_obs::snapshot();
 //! assert!(report.counters.iter().any(|c| c.name == "demo.events"));
+//! assert_eq!(report.histogram("demo.block_ms").map(|h| h.count), Some(1));
 //! sfq_obs::set_enabled(false);
 //! ```
 
@@ -74,9 +81,11 @@ pub mod ledger;
 mod memo;
 pub mod prof;
 pub mod progress;
+mod switch;
 pub mod trace;
 
 pub use memo::Memo;
+pub use switch::KNOBS;
 
 /// Schema version stamped into every persisted snapshot this crate
 /// (and the bench reports downstream) writes: [`MetricsReport`],
@@ -87,47 +96,27 @@ pub use memo::Memo;
 pub const SCHEMA_VERSION: u32 = 1;
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 // ------------------------------------------------------------- enable gate
 
-/// Tri-state: 0 = not yet read from the environment, 1 = off, 2 = on.
-static METRICS_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether gated metric recording is on.
-///
-/// First call resolves the `SUPERNPU_METRICS` env var (any value other
-/// than empty, `0`, `false` or `off` enables); after that — or after
-/// [`set_enabled`] — it is a single relaxed atomic load.
+/// Whether gated metric recording is on: `SUPERNPU_METRICS` (any
+/// value other than empty, `0`, `false` or `off`) or [`set_enabled`].
+/// One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match METRICS_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_metrics_state(),
-    }
-}
-
-#[cold]
-fn init_metrics_state() -> bool {
-    let on = std::env::var("SUPERNPU_METRICS").is_ok_and(|v| truthy(&v));
-    METRICS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-pub(crate) fn truthy(v: &str) -> bool {
-    let v = v.trim();
-    !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
+    switch::on(switch::METRICS)
 }
 
 /// Programmatically force metrics on or off (overrides the env var).
 pub fn set_enabled(on: bool) {
-    METRICS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    switch::set(switch::METRICS, on);
 }
 
 // ---------------------------------------------------------------- logging
@@ -159,37 +148,16 @@ impl Level {
     }
 }
 
-/// 0 = unread, 1 = off, otherwise `Level as u8 + 1`.
-static LOG_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether a [`log`] call at `level` would print.
+/// Whether a [`log`] call at `level` would print (`SUPERNPU_LOG` or
+/// [`set_log_level`]).
 #[inline]
 pub fn log_enabled(level: Level) -> bool {
-    let s = LOG_STATE.load(Ordering::Relaxed);
-    let s = if s == 0 { init_log_state() } else { s };
-    s > level as u8
-}
-
-#[cold]
-fn init_log_state() -> u8 {
-    let s = match std::env::var("SUPERNPU_LOG") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "error" => Level::Error as u8 + 1,
-            "warn" | "warning" => Level::Warn as u8 + 1,
-            "info" | "1" | "on" | "true" => Level::Info as u8 + 1,
-            "debug" => Level::Debug as u8 + 1,
-            "trace" => Level::Trace as u8 + 1,
-            _ => 1,
-        },
-        Err(_) => 1,
-    };
-    LOG_STATE.store(s, Ordering::Relaxed);
-    s
+    switch::log_level() >= level as u32
 }
 
 /// Programmatically set the log threshold (`None` silences all logs).
 pub fn set_log_level(level: Option<Level>) {
-    LOG_STATE.store(level.map_or(1, |l| l as u8 + 1), Ordering::Relaxed);
+    switch::set_log_level(level.map_or(0, |l| l as u32));
 }
 
 /// Emit one log line on stderr if `level` is enabled. The message
@@ -442,14 +410,10 @@ impl Metric {
 /// deterministic. Registered metrics are leaked (`&'static`) so hot
 /// paths hold lock-free handles; the set of distinct metric names is
 /// small and bounded by the instrumentation, so the leak is too.
-static REGISTRY: OnceLock<RwLock<BTreeMap<String, Metric>>> = OnceLock::new();
-
-fn registry() -> &'static RwLock<BTreeMap<String, Metric>> {
-    REGISTRY.get_or_init(|| RwLock::new(BTreeMap::new()))
-}
+static REGISTRY: RwLock<BTreeMap<String, Metric>> = RwLock::new(BTreeMap::new());
 
 fn lookup<T>(name: &str, pick: impl Fn(&Metric) -> Option<T>) -> Option<T> {
-    let map = registry().read().unwrap_or_else(|e| e.into_inner());
+    let map = REGISTRY.read().unwrap_or_else(|e| e.into_inner());
     map.get(name).map(|m| {
         pick(m).unwrap_or_else(|| panic!("metric `{name}` already registered as a {}", m.kind()))
     })
@@ -460,7 +424,7 @@ fn register<T>(
     make: impl FnOnce() -> Metric,
     pick: impl Fn(&Metric) -> Option<T>,
 ) -> T {
-    let mut map = registry().write().unwrap_or_else(|e| e.into_inner());
+    let mut map = REGISTRY.write().unwrap_or_else(|e| e.into_inner());
     let m = map.entry(name.to_owned()).or_insert_with(make);
     pick(m).unwrap_or_else(|| panic!("metric `{name}` already registered as a {}", m.kind()))
 }
@@ -514,7 +478,7 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// Reset every registered metric to its empty state. Registered names
 /// stay registered (handles remain valid); only the values clear.
 pub fn reset() {
-    let map = registry().read().unwrap_or_else(|e| e.into_inner());
+    let map = REGISTRY.read().unwrap_or_else(|e| e.into_inner());
     for m in map.values() {
         match m {
             Metric::Counter(c) => c.reset(),
@@ -556,41 +520,87 @@ pub fn gauge_set(name: &str, v: f64) {
     }
 }
 
-/// Scoped timer: records elapsed milliseconds into the histogram it
-/// was opened with when dropped. Disabled spans carry no state and do
-/// not read the clock.
-#[must_use = "a span records on drop; binding it to `_` drops it immediately"]
+// ----------------------------------------------------------------- region
+
+/// One instrumented scope, feeding every sink that was on when it
+/// opened: the profile frame `name`, the trace slice `name` in the
+/// category before its first dot, and the histogram `<name>_ms`. With
+/// all three sinks off it is inert and never reads the clock. A
+/// region closes on the thread that opened it (profile frames nest
+/// per thread), so the guard is `!Send`.
+#[must_use = "a region records on drop; binding it to `_` drops it immediately"]
 #[derive(Debug)]
-pub struct Span {
-    live: Option<(Instant, &'static Histogram)>,
+pub struct Region {
+    /// Boxed, so an inert region is one null pointer.
+    live: Option<Box<Live>>,
+    _not_send: PhantomData<*const ()>,
 }
 
-impl Span {
-    /// Abandon the span without recording.
-    pub fn cancel(mut self) {
-        self.live = None;
+/// An open region's start time and the sinks it records into.
+#[derive(Debug)]
+struct Live {
+    t0: Instant,
+    profile: bool,
+    trace: Option<String>,
+    hist: Option<&'static Histogram>,
+}
+
+/// Open a [`Region`] named `name` (`<crate>.<subsystem>.<what>`).
+/// Costs one relaxed load when metrics, profile and trace are all
+/// off.
+#[inline]
+pub fn region(name: &str) -> Region {
+    let f = switch::flags();
+    Region {
+        live: (f & switch::REGION_SINKS != 0).then(|| Live::open(name, f)),
+        _not_send: PhantomData,
     }
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((t0, h)) = self.live.take() {
-            h.observe(t0.elapsed().as_secs_f64() * 1e3);
+impl Live {
+    #[inline(never)]
+    fn open(name: &str, f: u32) -> Box<Live> {
+        let hist = (f & switch::METRICS != 0).then(|| histogram(&format!("{name}_ms")));
+        let profile = f & switch::PROFILE != 0;
+        if profile {
+            prof::enter(name);
+        }
+        let trace = (f & switch::TRACE != 0).then(|| {
+            trace::epoch();
+            name.to_owned()
+        });
+        Box::new(Live {
+            t0: Instant::now(),
+            profile,
+            trace,
+            hist,
+        })
+    }
+
+    #[inline(never)]
+    fn close(&self) {
+        let elapsed = self.t0.elapsed();
+        if self.profile {
+            #[allow(clippy::cast_possible_truncation)]
+            prof::exit(elapsed.as_nanos() as u64);
+        }
+        if let Some(name) = &self.trace {
+            let start_us = self.t0.duration_since(trace::epoch()).as_secs_f64() * 1e6;
+            let cat = name.split_once('.').map_or(name.as_str(), |(cat, _)| cat);
+            trace::complete(cat, name, start_us, elapsed.as_secs_f64() * 1e6);
+        }
+        if let Some(h) = self.hist {
+            h.observe(elapsed.as_secs_f64() * 1e3);
         }
     }
 }
 
-/// Open a scoped timer on histogram `name` (conventionally `*_ms`).
-/// When metrics are disabled this is one relaxed load and returns an
-/// inert guard.
-#[inline]
-pub fn span(name: &str) -> Span {
-    Span {
-        live: if enabled() {
-            Some((Instant::now(), histogram(name)))
-        } else {
-            None
-        },
+impl Drop for Region {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(live) = self.live.take() {
+            live.close();
+        }
     }
 }
 
@@ -689,7 +699,7 @@ impl MetricsReport {
 /// registry's name order, so two snapshots of identical state compare
 /// equal.
 pub fn snapshot() -> MetricsReport {
-    let map = registry().read().unwrap_or_else(|e| e.into_inner());
+    let map = REGISTRY.read().unwrap_or_else(|e| e.into_inner());
     let mut report = MetricsReport {
         schema_version: SCHEMA_VERSION,
         ..MetricsReport::default()
@@ -808,8 +818,10 @@ pub fn write_metrics_json_env() -> Option<PathBuf> {
 /// profiler trees, the `SUPERNPU_METRICS_JSON` snapshot, and — last,
 /// so it has seen every artifact the others produced — the run
 /// ledger. Each is a no-op when its gate is off; failures go to
-/// stderr. Shared by the clean-exit guard and the panic hook.
-fn flush_sinks() {
+/// stderr. Shared by the clean-exit guard and the panic hook; bench
+/// bins call it from their error exit (`process::exit` skips `Drop`,
+/// so a guard alone would lose the buffered tails).
+pub fn flush_all() {
     match trace::flush() {
         Ok(Some(path)) => {
             ledger::record_artifact(&path);
@@ -834,14 +846,6 @@ fn flush_sinks() {
     ledger::flush();
 }
 
-/// Public entry to the same flush the exit guard and panic hook run:
-/// trace, profile, metrics-json, then the run ledger. Bench bins call
-/// this from their error exit (`process::exit` skips `Drop`, so a
-/// guard alone would lose the buffered tails).
-pub fn flush_all() {
-    flush_sinks();
-}
-
 /// Install (once) a panic hook that flushes the trace, profile and
 /// metrics-json sinks *before* unwinding begins, chained in front of
 /// the default hook. [`DumpOnExit`] already flushes when its guard
@@ -861,7 +865,7 @@ pub fn install_panic_flush() {
             static FLUSHING: std::sync::atomic::AtomicBool =
                 std::sync::atomic::AtomicBool::new(false);
             if !FLUSHING.swap(true, Ordering::SeqCst) {
-                flush_sinks();
+                flush_all();
                 FLUSHING.store(false, Ordering::SeqCst);
             }
         }));
@@ -884,7 +888,7 @@ impl Drop for DumpOnExit {
         // Flush persistent sinks first: the guard drops during
         // unwinding too, so a panicking bench still lands its buffered
         // tail on disk instead of losing it with the process.
-        flush_sinks();
+        flush_all();
         if enabled() {
             eprintln!("\n== metrics (SUPERNPU_METRICS) ==\n{}", render_table());
         }
@@ -952,17 +956,9 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(names, sorted, "counters sorted by name");
 
-        // Spans record; cancelled spans don't.
-        {
-            let _s = span("t.span_ms");
-        }
-        assert_eq!(histogram("t.span_ms").count(), 1);
-        span("t.span_ms").cancel();
-        assert_eq!(histogram("t.span_ms").count(), 1);
-
         // Table render mentions every metric.
         let table = render_table();
-        for name in ["t.counter", "t.gauge", "t.hist_ms", "t.span_ms"] {
+        for name in ["t.counter", "t.gauge", "t.hist_ms"] {
             assert!(table.contains(name), "table missing {name}:\n{table}");
         }
 
@@ -978,8 +974,6 @@ mod tests {
         add("t.disabled_counter", 7);
         observe("t.disabled_hist", 1.0);
         gauge_set("t.disabled_gauge", 1.0);
-        let _s = span("t.disabled_span_ms");
-        drop(_s);
         let after = snapshot();
         assert_eq!(before, after, "disabled path must not touch the registry");
 

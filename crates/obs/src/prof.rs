@@ -2,10 +2,11 @@
 //!
 //! The metrics half of this crate answers *how much*, the trace half
 //! answers *when*; this module answers *where the time went*. Each
-//! thread keeps a call-path tree of scoped [`Frame`]s; every unique
-//! path accumulates **inclusive** time, **self** time (inclusive minus
-//! time spent in child frames), call counts and attached unit counters
-//! ([`count`]: newton iterations, LU factors, cache hits, bytes).
+//! thread keeps a call-path tree of the [`crate::region`]s it opens
+//! (one frame per region); every unique path accumulates
+//! **inclusive** time, **self** time (inclusive minus time spent in
+//! child frames), call counts and attached unit counters ([`count`]:
+//! newton iterations, LU factors, cache hits, bytes).
 //! [`snapshot`] merges all threads into one deterministic
 //! [`ProfileReport`] with three export views:
 //!
@@ -22,15 +23,15 @@
 //! calling [`set_profile`]) turns it on and names the JSON output file
 //! ([`flush`] also writes the collapsed stacks next to it with a
 //! `.folded` extension). The disabled fast path of every helper is a
-//! single relaxed atomic load — the same contract as the metrics and
-//! trace gates, so frames can live in the solver's inner loops.
+//! single relaxed atomic load of the crate's one flag word, so frames
+//! can live in the solver's inner loops.
 //! High-cardinality frames (per-design-point sweep labels) are
 //! additionally gated behind `SUPERNPU_PROFILE_DETAIL=1` /
 //! [`set_detail`].
 //!
 //! ## Hot loops
 //!
-//! An enabled [`frame`] costs a thread-local lookup, an uncontended
+//! An enabled frame costs a thread-local lookup, an uncontended
 //! mutex lock and a clock read — fine per solver *run*, too heavy per
 //! Newton iteration. Kernel-grade attribution instead accumulates
 //! `(calls, ns)` in plain locals and merges once per run via
@@ -39,14 +40,12 @@
 //! changes a simulation result; it only observes it.
 
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::switch;
 use crate::trace::ChromeTrace;
 
 /// Process id of the profile counter tracks emitted by
@@ -59,92 +58,37 @@ pub const TOP_SELF_N: usize = 10;
 
 // ------------------------------------------------------------- enable gate
 
-/// Tri-state: 0 = not yet read from the environment, 1 = off, 2 = on.
-static PROF_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Output path from `SUPERNPU_PROFILE` or [`set_profile`].
-static PROF_PATH: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-
-fn prof_path_cell() -> &'static Mutex<Option<PathBuf>> {
-    PROF_PATH.get_or_init(|| Mutex::new(None))
-}
-
-/// Whether frame recording is on. First call resolves the
-/// `SUPERNPU_PROFILE` env var (any non-empty value enables and names
-/// the output file); after that — or after [`set_profile`] — it is a
-/// single relaxed atomic load.
+/// Whether frame recording is on: `SUPERNPU_PROFILE` (any non-empty
+/// value enables and names the output file) or [`set_profile`]. One
+/// relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match PROF_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_prof_state(),
-    }
-}
-
-#[cold]
-fn init_prof_state() -> bool {
-    let path = std::env::var("SUPERNPU_PROFILE")
-        .ok()
-        .filter(|p| !p.trim().is_empty());
-    let on = path.is_some();
-    *prof_path_cell().lock().unwrap_or_else(|e| e.into_inner()) = path.map(PathBuf::from);
-    PROF_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    switch::on(switch::PROFILE)
 }
 
 /// Programmatically enable profiling with `path` as the [`flush`]
 /// target, or disable it with `None` (overrides the env var).
 pub fn set_profile(path: Option<&str>) {
-    *prof_path_cell().lock().unwrap_or_else(|e| e.into_inner()) = path.map(PathBuf::from);
-    PROF_STATE.store(if path.is_some() { 2 } else { 1 }, Ordering::Relaxed);
+    switch::paths().profile = path.map(PathBuf::from);
+    switch::set(switch::PROFILE, path.is_some());
 }
 
 /// The JSON file [`flush`] writes, if profiling is enabled.
 pub fn path() -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
-    prof_path_cell()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
+    switch::paths().profile.clone().filter(|_| enabled())
 }
-
-/// Detail tri-state, same encoding as the enable gate.
-static DETAIL_STATE: AtomicU8 = AtomicU8::new(0);
 
 /// Whether high-cardinality frames (per-design-point sweep labels)
 /// should be recorded. True only when profiling itself is enabled
 /// *and* `SUPERNPU_PROFILE_DETAIL` (or [`set_detail`]) asks for it.
 #[inline]
 pub fn detail_enabled() -> bool {
-    if !enabled() {
-        return false;
-    }
-    match DETAIL_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_detail_state(),
-    }
-}
-
-#[cold]
-fn init_detail_state() -> bool {
-    let on = std::env::var("SUPERNPU_PROFILE_DETAIL").is_ok_and(|v| {
-        let v = v.trim();
-        !(v.is_empty()
-            || v == "0"
-            || v.eq_ignore_ascii_case("false")
-            || v.eq_ignore_ascii_case("off"))
-    });
-    DETAIL_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    switch::on(switch::PROFILE | switch::PROFILE_DETAIL)
 }
 
 /// Programmatically force detail frames on or off.
 pub fn set_detail(on: bool) {
-    DETAIL_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    switch::set(switch::PROFILE_DETAIL, on);
 }
 
 // ----------------------------------------------------------- thread trees
@@ -259,13 +203,7 @@ struct ThreadProf {
     tree: Mutex<ProfTree>,
 }
 
-static PROFS: OnceLock<Mutex<Vec<Arc<ThreadProf>>>> = OnceLock::new();
-
-fn profs() -> &'static Mutex<Vec<Arc<ThreadProf>>> {
-    PROFS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-static THREADS_SEEN: AtomicU64 = AtomicU64::new(0);
+static PROFS: Mutex<Vec<Arc<ThreadProf>>> = Mutex::new(Vec::new());
 
 thread_local! {
     static TREE: OnceLock<Arc<ThreadProf>> = const { OnceLock::new() };
@@ -274,11 +212,10 @@ thread_local! {
 fn with_tree<R>(f: impl FnOnce(&mut ProfTree) -> R) -> R {
     TREE.with(|cell| {
         let tp = cell.get_or_init(|| {
-            THREADS_SEEN.fetch_add(1, Ordering::Relaxed);
             let tp = Arc::new(ThreadProf {
                 tree: Mutex::new(ProfTree::new()),
             });
-            profs()
+            PROFS
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(Arc::clone(&tp));
@@ -293,56 +230,29 @@ fn with_tree<R>(f: impl FnOnce(&mut ProfTree) -> R) -> R {
 /// registers on its first *enabled* frame, so this stays 0 while
 /// profiling is off — the disabled-path test hangs on that.
 pub fn threads_registered() -> usize {
-    profs().lock().unwrap_or_else(|e| e.into_inner()).len()
+    PROFS.lock().unwrap_or_else(|e| e.into_inner()).len()
 }
 
 // ------------------------------------------------------------- recording
 
-/// Scoped profile frame: opens a node on this thread's call-path
-/// stack, closes it (accumulating inclusive/self time) on drop.
-/// Disabled frames carry no state and do not read the clock. Frames
-/// must drop on the thread that opened them, so the guard is `!Send`.
-#[must_use = "a frame records on drop; binding it to `_` drops it immediately"]
-#[derive(Debug)]
-pub struct Frame {
-    live: Option<Instant>,
-    _not_send: PhantomData<*const ()>,
+/// Open a frame named `name` under the innermost open frame on this
+/// thread (or at top level); [`crate::region`] calls this.
+pub(crate) fn enter(name: &str) {
+    with_tree(|t| t.enter(name));
 }
 
-impl Drop for Frame {
-    fn drop(&mut self) {
-        if let Some(t0) = self.live.take() {
-            #[allow(clippy::cast_possible_truncation)]
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            with_tree(|t| t.exit(elapsed));
-        }
-    }
-}
-
-/// Open a scoped frame named `name` under the innermost open frame on
-/// this thread (or at top level). One relaxed load and an inert guard
-/// when profiling is disabled.
-#[inline]
-pub fn frame(name: &str) -> Frame {
-    let live = if enabled() {
-        with_tree(|t| t.enter(name));
-        Some(Instant::now())
-    } else {
-        None
-    };
-    Frame {
-        live,
-        _not_send: PhantomData,
-    }
+/// Close this thread's innermost open frame after `elapsed_ns`.
+pub(crate) fn exit(elapsed_ns: u64) {
+    with_tree(|t| t.exit(elapsed_ns));
 }
 
 /// Merge a pre-aggregated sub-tree entry at `rel_path` (relative to
 /// the innermost open frame), adding `calls`, `incl_ns` inclusive and
 /// `self_ns` self nanoseconds. A depth-1 path charges the open frame's
-/// self time with `incl_ns`, exactly as a scoped child [`frame`]
-/// would; deeper paths only touch the named node, so a caller
-/// recording `["newton"]` and then `["newton", "lu_solve"]` must have
-/// already split `newton`'s self time. This is the hot-loop interface:
+/// self time with `incl_ns`, exactly as a child region would; deeper
+/// paths only touch the named node, so a caller recording
+/// `["newton"]` and then `["newton", "lu_solve"]` must have already
+/// split `newton`'s self time. This is the hot-loop interface:
 /// accumulate `(calls, ns)` in locals, merge once per run. No-op (one
 /// relaxed load) when disabled.
 #[inline]
@@ -508,7 +418,7 @@ pub fn snapshot() -> ProfileReport {
     let mut merged: BTreeMap<String, MergedPath> = BTreeMap::new();
     let mut threads = 0u64;
     {
-        let list = profs().lock().unwrap_or_else(|e| e.into_inner());
+        let list = PROFS.lock().unwrap_or_else(|e| e.into_inner());
         for tp in list.iter() {
             let tree = tp.tree.lock().unwrap_or_else(|e| e.into_inner());
             if tree.nodes.len() <= 1 {
@@ -612,7 +522,7 @@ pub fn flush() -> std::io::Result<Option<PathBuf>> {
 /// Trees stay registered; frames live across the clear record nothing
 /// when they close.
 pub fn clear() {
-    let list = profs().lock().unwrap_or_else(|e| e.into_inner());
+    let list = PROFS.lock().unwrap_or_else(|e| e.into_inner());
     for tp in list.iter() {
         let mut tree = tp.tree.lock().unwrap_or_else(|e| e.into_inner());
         *tree = ProfTree::new();
@@ -624,14 +534,14 @@ mod tests {
     use super::*;
 
     /// One test body: the thread-tree registry and enable gate are
-    /// process-global, so the pieces run in a fixed order.
+    /// process-global, so the pieces run in a fixed order. Frames open
+    /// and close through `enter`/`exit` with synthetic durations, not
+    /// through regions, so this test cannot race the other sinks'
+    /// tests.
     #[test]
     fn prof_end_to_end() {
         // Disabled: helpers are no-ops and register nothing.
         set_profile(None);
-        {
-            let _f = frame("never");
-        }
         record_leaf("never", 1, 100);
         count("never", 1);
         assert_eq!(
@@ -644,16 +554,12 @@ mod tests {
         // Enabled: nested frames accumulate inclusive and self time.
         set_profile(Some("unused-profile.json"));
         assert!(enabled());
-        {
-            let _outer = frame("outer");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            {
-                let _inner = frame("inner");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            count("widgets", 5);
-            count("widgets", 2);
-        }
+        enter("outer");
+        enter("inner");
+        exit(2_000_000);
+        count("widgets", 5);
+        count("widgets", 2);
+        exit(4_000_000);
         let report = snapshot();
         let outer = report.path("outer").expect("outer recorded");
         let inner = report.path("outer;inner").expect("inner recorded");
@@ -682,11 +588,10 @@ mod tests {
         // Pre-aggregated merge: explicit incl/self splits, child
         // charged to the open frame exactly once.
         clear();
-        {
-            let _run = frame("run");
-            record_path(&["newton"], 10, 4_000_000, 1_000_000);
-            record_path(&["newton", "lu_solve"], 10, 3_000_000, 3_000_000);
-        }
+        enter("run");
+        record_path(&["newton"], 10, 4_000_000, 1_000_000);
+        record_path(&["newton", "lu_solve"], 10, 3_000_000, 3_000_000);
+        exit(2_000_000);
         let report = snapshot();
         let newton = report.path("run;newton").expect("newton merged");
         assert_eq!(newton.calls, 10);
@@ -694,7 +599,7 @@ mod tests {
         assert!((newton.self_ms - 1.0).abs() < 1e-9);
         let solve = report.path("run;newton;lu_solve").expect("lu_solve merged");
         assert!((solve.self_ms - 3.0).abs() < 1e-9);
-        // The synthetic 4 ms child exceeds the frame's real elapsed
+        // The synthetic 4 ms child exceeds the frame's 2 ms elapsed
         // time, so the open frame's self time floors at 0 — the
         // depth-1 record charged it exactly once.
         let run = report.path("run").expect("run recorded");
@@ -706,14 +611,14 @@ mod tests {
         // Cross-thread merge sums identical paths deterministically.
         clear();
         let worker = std::thread::spawn(|| {
-            let _f = frame("shared");
+            enter("shared");
             record_leaf("k", 1, 500_000);
+            exit(1_000_000);
         });
         worker.join().expect("worker");
-        {
-            let _f = frame("shared");
-            record_leaf("k", 2, 250_000);
-        }
+        enter("shared");
+        record_leaf("k", 2, 250_000);
+        exit(1_000_000);
         let report = snapshot();
         assert!(report.threads >= 2, "both threads merged");
         let shared = report.path("shared").expect("shared recorded");

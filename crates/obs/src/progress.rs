@@ -13,44 +13,32 @@
 //! ticker is off, matching the metrics/trace/profile gates, so
 //! instrumented inner loops pay nothing in a plain run.
 //!
-//! Only one phase is live at a time. [`Region::enter`] claims the
+//! Only one phase is live at a time. [`Phase::enter`] claims the
 //! phase slot *if free* — the resilient runner claims it with the
 //! sweep's name before dispatching, and the generic `par_map` region
 //! underneath then leaves it alone and just ticks.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use crate::switch;
 
 /// Minimum milliseconds between ticker renders.
 const RENDER_EVERY_MS: u64 = 100;
 
 // ------------------------------------------------------------- enable gate
 
-/// Tri-state: 0 = not yet read from the environment, 1 = off, 2 = on.
-static PROGRESS_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the progress ticker is on (`SUPERNPU_PROGRESS` truthy).
+/// Whether the progress ticker is on (`SUPERNPU_PROGRESS` truthy, or
+/// [`set_enabled`]).
 #[inline]
 pub fn enabled() -> bool {
-    match PROGRESS_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_progress_state(),
-    }
-}
-
-#[cold]
-fn init_progress_state() -> bool {
-    let on = std::env::var("SUPERNPU_PROGRESS").is_ok_and(|v| crate::truthy(&v));
-    PROGRESS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    switch::on(switch::PROGRESS)
 }
 
 /// Programmatically force the ticker on or off (overrides the env
 /// var). Tests use this.
 pub fn set_enabled(on: bool) {
-    PROGRESS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    switch::set(switch::PROGRESS, on);
 }
 
 // --------------------------------------------------------------- the phase
@@ -68,23 +56,14 @@ struct PhaseMeta {
     started_ms: u64,
 }
 
-fn phase_meta() -> &'static Mutex<Option<PhaseMeta>> {
-    static META: OnceLock<Mutex<Option<PhaseMeta>>> = OnceLock::new();
-    META.get_or_init(|| Mutex::new(None))
-}
-
-fn epoch() -> &'static Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now)
-}
+static META: Mutex<Option<PhaseMeta>> = Mutex::new(None);
 
 fn now_ms() -> u64 {
-    epoch().elapsed().as_millis() as u64
+    crate::trace::epoch().elapsed().as_millis() as u64
 }
 
 fn lock_meta() -> std::sync::MutexGuard<'static, Option<PhaseMeta>> {
-    phase_meta()
-        .lock()
+    META.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -198,30 +177,30 @@ fn render_line(done: u64, total: u64, closing: bool) {
     }
 }
 
-// ------------------------------------------------------------ region RAII
+// ------------------------------------------------------------- phase RAII
 
-/// RAII claim on the phase slot: [`Region::enter`] starts a phase only
+/// RAII claim on the phase slot: [`Phase::enter`] starts a phase only
 /// when none is live, and its `Drop` closes the phase only if it was
 /// the one that opened it. Lets `par_map` self-announce big regions
 /// while deferring to an enclosing named sweep.
 #[derive(Debug)]
-pub struct Region {
+pub struct Phase {
     claimed: bool,
 }
 
-impl Region {
+impl Phase {
     /// Claim the phase slot for `total` points under `label` if it is
-    /// free (and the ticker is on); otherwise return an inert region.
+    /// free (and the ticker is on); otherwise return an inert claim.
     #[must_use]
-    pub fn enter(label: &str, total: u64) -> Region {
+    pub fn enter(label: &str, total: u64) -> Phase {
         if !enabled() || TOTAL.load(Ordering::Relaxed) != 0 {
-            return Region { claimed: false };
+            return Phase { claimed: false };
         }
         phase(label, total);
-        Region { claimed: true }
+        Phase { claimed: true }
     }
 
-    /// Whether this region owns the live phase. Only the owner should
+    /// Whether this claim owns the live phase. Only the owner should
     /// [`tick`]: nested parallel regions inside one logical point must
     /// not inflate the done count past the total.
     #[must_use]
@@ -230,7 +209,7 @@ impl Region {
     }
 }
 
-impl Drop for Region {
+impl Drop for Phase {
     fn drop(&mut self) {
         if self.claimed {
             finish();
@@ -251,19 +230,19 @@ mod tests {
         tick(3);
         assert_eq!(snapshot(), Some(("outer".into(), 3, 10)));
         {
-            // Slot busy: inner region must not steal it.
-            let _inner = Region::enter("inner", 99);
+            // Slot busy: an inner claim must not steal it.
+            let _inner = Phase::enter("inner", 99);
             tick(2);
             assert_eq!(snapshot(), Some(("outer".into(), 5, 10)));
         }
-        // Inert region's drop must not close the outer phase.
+        // An inert claim's drop must not close the outer phase.
         assert_eq!(snapshot(), Some(("outer".into(), 5, 10)));
         finish();
         assert_eq!(snapshot(), None);
 
-        // A free slot is claimed and released by the region.
+        // A free slot is claimed and released by the claim.
         {
-            let _r = Region::enter("solo", 4);
+            let _r = Phase::enter("solo", 4);
             assert_eq!(snapshot(), Some(("solo".into(), 0, 4)));
         }
         assert_eq!(snapshot(), None);

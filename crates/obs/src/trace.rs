@@ -13,9 +13,11 @@
 //! Tracing is off by default. Setting `SUPERNPU_TRACE=<path>` (or
 //! calling [`set_trace`]) turns it on and names the output file; the
 //! disabled fast path of every recording helper is a single relaxed
-//! atomic load followed by an early return — no locking, no clock
-//! read, no allocation — the same contract as the metrics gate, so
-//! the instrumentation can live in the solver's inner loops.
+//! load of the crate's one flag word followed by an early return — no
+//! locking, no clock read, no allocation — so the instrumentation can
+//! live in the solver's inner loops. Scoped slices come from
+//! [`crate::region`], which names each slice after its region and
+//! files it under the category before the name's first dot.
 //! High-frequency per-step markers (solver accept/reject/restamp) are
 //! additionally gated behind `SUPERNPU_TRACE_DETAIL=1` /
 //! [`set_detail`].
@@ -47,11 +49,13 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::switch;
 
 /// Process id of wall-clock tracks (threads, pool workers, solver and
 /// sweep spans).
@@ -66,94 +70,38 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 // ------------------------------------------------------------- enable gate
 
-/// Tri-state: 0 = not yet read from the environment, 1 = off, 2 = on.
-static TRACE_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Output path from `SUPERNPU_TRACE` or [`set_trace`].
-static TRACE_PATH: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-
-fn trace_path_cell() -> &'static Mutex<Option<PathBuf>> {
-    TRACE_PATH.get_or_init(|| Mutex::new(None))
-}
-
-/// Whether event recording is on. First call resolves the
-/// `SUPERNPU_TRACE` env var (any non-empty value enables and names
-/// the output file); after that — or after [`set_trace`] — it is a
-/// single relaxed atomic load.
+/// Whether event recording is on: `SUPERNPU_TRACE` (any non-empty
+/// value enables and names the output file) or [`set_trace`]. One
+/// relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match TRACE_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_trace_state(),
-    }
-}
-
-#[cold]
-fn init_trace_state() -> bool {
-    let path = std::env::var("SUPERNPU_TRACE")
-        .ok()
-        .filter(|p| !p.trim().is_empty());
-    let on = path.is_some();
-    *trace_path_cell().lock().unwrap_or_else(|e| e.into_inner()) = path.map(PathBuf::from);
-    TRACE_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    switch::on(switch::TRACE)
 }
 
 /// Programmatically enable tracing to `path`, or disable it with
 /// `None` (overrides the env var either way).
 pub fn set_trace(path: Option<&str>) {
-    *trace_path_cell().lock().unwrap_or_else(|e| e.into_inner()) = path.map(PathBuf::from);
-    TRACE_STATE.store(if path.is_some() { 2 } else { 1 }, Ordering::Relaxed);
+    switch::paths().trace = path.map(PathBuf::from);
+    switch::set(switch::TRACE, path.is_some());
 }
 
 /// The output file [`flush`] writes, if tracing is enabled.
 pub fn path() -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
-    trace_path_cell()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
+    switch::paths().trace.clone().filter(|_| enabled())
 }
-
-/// Detail tri-state, same encoding as the enable gate.
-static DETAIL_STATE: AtomicU8 = AtomicU8::new(0);
 
 /// Whether high-frequency detail events (per-step solver
 /// accept/reject/restamp instants) should be recorded. True only when
 /// tracing itself is enabled *and* `SUPERNPU_TRACE_DETAIL` (or
-/// [`set_detail`]) asks for it; the disabled path is two relaxed
-/// loads.
+/// [`set_detail`]) asks for it.
 #[inline]
 pub fn detail_enabled() -> bool {
-    if !enabled() {
-        return false;
-    }
-    match DETAIL_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_detail_state(),
-    }
-}
-
-#[cold]
-fn init_detail_state() -> bool {
-    let on = std::env::var("SUPERNPU_TRACE_DETAIL").is_ok_and(|v| {
-        let v = v.trim();
-        !(v.is_empty()
-            || v == "0"
-            || v.eq_ignore_ascii_case("false")
-            || v.eq_ignore_ascii_case("off"))
-    });
-    DETAIL_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    switch::on(switch::TRACE | switch::TRACE_DETAIL)
 }
 
 /// Programmatically force detail events on or off.
 pub fn set_detail(on: bool) {
-    DETAIL_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    switch::set(switch::TRACE_DETAIL, on);
 }
 
 // ------------------------------------------------------------------ epoch
@@ -275,27 +223,17 @@ impl Event {
 
 // ---------------------------------------------------------------- sinks
 
-/// Per-thread ring capacity; read on every push so tests can shrink it.
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-
-fn ring_capacity() -> usize {
-    let c = RING_CAPACITY.load(Ordering::Relaxed);
-    if c != 0 {
-        return c;
-    }
-    let c = std::env::var("SUPERNPU_TRACE_BUF")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_RING_CAPACITY);
-    RING_CAPACITY.store(c, Ordering::Relaxed);
-    c
-}
+/// Per-thread ring capacity (`SUPERNPU_TRACE_BUF`, resolved by the
+/// switch); read on every push so tests can shrink it.
+pub(crate) static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 /// Override the per-thread ring capacity (tests and long captures).
 /// Applies to events recorded after the call; existing buffered
 /// events are kept even if the new capacity is smaller.
 pub fn set_ring_capacity(events: usize) {
+    // Resolve the environment first, so its first read cannot
+    // overwrite this override.
+    switch::flags();
     RING_CAPACITY.store(events.max(1), Ordering::Relaxed);
 }
 
@@ -316,7 +254,7 @@ struct ThreadSink {
 impl ThreadSink {
     fn push(&self, ev: Event) {
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() < ring_capacity() {
+        if ring.len() < RING_CAPACITY.load(Ordering::Relaxed) {
             ring.push(ev);
         } else {
             drop(ring);
@@ -326,11 +264,7 @@ impl ThreadSink {
     }
 }
 
-static SINKS: OnceLock<Mutex<Vec<Arc<ThreadSink>>>> = OnceLock::new();
-
-fn sinks() -> &'static Mutex<Vec<Arc<ThreadSink>>> {
-    SINKS.get_or_init(|| Mutex::new(Vec::new()))
-}
+static SINKS: Mutex<Vec<Arc<ThreadSink>>> = Mutex::new(Vec::new());
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -350,7 +284,7 @@ fn with_sink(f: impl FnOnce(&ThreadSink)) {
                 ring: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
             });
-            sinks()
+            SINKS
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(Arc::clone(&sink));
@@ -365,12 +299,12 @@ fn with_sink(f: impl FnOnce(&ThreadSink)) {
 /// registers on its first *enabled* record, so this stays 0 while
 /// tracing is off — the disabled-path test hangs on that.
 pub fn sinks_registered() -> usize {
-    sinks().lock().unwrap_or_else(|e| e.into_inner()).len()
+    SINKS.lock().unwrap_or_else(|e| e.into_inner()).len()
 }
 
 /// Total events dropped by full rings since the last [`clear`].
 pub fn events_dropped() -> u64 {
-    sinks()
+    SINKS
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .iter()
@@ -382,16 +316,12 @@ pub fn events_dropped() -> u64 {
 
 /// Global `(pid, tid) → name` registry, rendered as `thread_name`
 /// metadata on export. A `BTreeMap` keeps export order deterministic.
-static TRACK_NAMES: OnceLock<Mutex<BTreeMap<(u32, u64), String>>> = OnceLock::new();
-
-fn track_names() -> &'static Mutex<BTreeMap<(u32, u64), String>> {
-    TRACK_NAMES.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
+static TRACK_NAMES: Mutex<BTreeMap<(u32, u64), String>> = Mutex::new(BTreeMap::new());
 
 /// Register a display name for track `(pid, tid)`. Idempotent; the
 /// first name wins.
 pub fn name_track(pid: u32, tid: u64, name: &str) {
-    let mut map = track_names().lock().unwrap_or_else(|e| e.into_inner());
+    let mut map = TRACK_NAMES.lock().unwrap_or_else(|e| e.into_inner());
     map.entry((pid, tid)).or_insert_with(|| name.to_owned());
 }
 
@@ -477,39 +407,6 @@ pub fn counter_sample(pid: u32, tid: u64, name: &str, ts: f64, value: f64) {
         return;
     }
     record(Event::counter(pid, tid, "counter", name, ts, value));
-}
-
-/// Scoped wall-clock span: records a complete event covering its own
-/// lifetime on drop. Disabled spans carry no state and do not read
-/// the clock.
-#[must_use = "a trace span records on drop; binding it to `_` drops it immediately"]
-#[derive(Debug)]
-pub struct TraceSpan {
-    live: Option<(f64, &'static str, String)>,
-}
-
-impl TraceSpan {
-    /// Abandon the span without recording.
-    pub fn cancel(mut self) {
-        self.live = None;
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        if let Some((t0, cat, name)) = self.live.take() {
-            complete(cat, &name, t0, now_us() - t0);
-        }
-    }
-}
-
-/// Open a scoped wall-clock span in category `cat`. One relaxed load
-/// and an inert guard when tracing is disabled.
-#[inline]
-pub fn span(cat: &'static str, name: &str) -> TraceSpan {
-    TraceSpan {
-        live: enabled().then(|| (now_us(), cat, name.to_owned())),
-    }
 }
 
 // ----------------------------------------------------------- export
@@ -631,11 +528,11 @@ impl ChromeTrace {
 /// function of the recorded events, not of drain timing.
 pub fn drain_into(ct: &mut ChromeTrace) {
     let mut drained: Vec<Event> = {
-        let mut backlog = flushed().lock().unwrap_or_else(|e| e.into_inner());
+        let mut backlog = FLUSHED.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::take(&mut *backlog)
     };
     {
-        let list = sinks().lock().unwrap_or_else(|e| e.into_inner());
+        let list = SINKS.lock().unwrap_or_else(|e| e.into_inner());
         for sink in list.iter() {
             let mut ring = sink.ring.lock().unwrap_or_else(|e| e.into_inner());
             drained.append(&mut ring);
@@ -648,7 +545,7 @@ pub fn drain_into(ct: &mut ChromeTrace) {
             .then(a.name.cmp(&b.name))
     });
     {
-        let names = track_names().lock().unwrap_or_else(|e| e.into_inner());
+        let names = TRACK_NAMES.lock().unwrap_or_else(|e| e.into_inner());
         for ((pid, tid), name) in names.iter() {
             ct.name_track(*pid, *tid, name);
         }
@@ -660,11 +557,7 @@ pub fn drain_into(ct: &mut ChromeTrace) {
 /// Events drained by a previous [`flush`], kept so every flush
 /// rewrites the full trace (a later flush must not lose the earlier
 /// tail).
-static FLUSHED: OnceLock<Mutex<Vec<Event>>> = OnceLock::new();
-
-fn flushed() -> &'static Mutex<Vec<Event>> {
-    FLUSHED.get_or_init(|| Mutex::new(Vec::new()))
-}
+static FLUSHED: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 
 /// Drain all sinks and write the accumulated trace to the configured
 /// path ([`path`]). Safe to call repeatedly — each call rewrites the
@@ -682,7 +575,7 @@ pub fn flush() -> std::io::Result<Option<PathBuf>> {
     drain_into(&mut ct);
     // Keep the drained events for the next flush.
     {
-        let mut backlog = flushed().lock().unwrap_or_else(|e| e.into_inner());
+        let mut backlog = FLUSHED.lock().unwrap_or_else(|e| e.into_inner());
         backlog.extend(ct.events.iter().cloned());
     }
     let dropped = events_dropped();
@@ -696,14 +589,14 @@ pub fn flush() -> std::io::Result<Option<PathBuf>> {
 /// Discard all buffered and flushed events, drop counts and track
 /// names (tests). Sinks stay registered; their rings are emptied.
 pub fn clear() {
-    let list = sinks().lock().unwrap_or_else(|e| e.into_inner());
+    let list = SINKS.lock().unwrap_or_else(|e| e.into_inner());
     for sink in list.iter() {
         sink.ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
         sink.dropped.store(0, Ordering::Relaxed);
     }
     drop(list);
-    flushed().lock().unwrap_or_else(|e| e.into_inner()).clear();
-    track_names()
+    FLUSHED.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    TRACK_NAMES
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .clear();
@@ -722,28 +615,21 @@ mod tests {
         complete("t", "never", 0.0, 1.0);
         instant("t", "never");
         counter_sample(HOST_PID, 7, "never", 0.0, 1.0);
-        {
-            let _s = span("t", "never");
-        }
         let mut ct = ChromeTrace::new();
         drain_into(&mut ct);
         assert!(ct.is_empty(), "disabled tracing must record nothing");
 
-        // Enabled: events land, spans measure, tracks get named.
+        // Enabled: events land and tracks get named.
         set_trace(Some("unused-trace.json"));
         assert!(enabled());
         let t0 = now_us();
         complete("cat_a", "work", t0, 5.0);
         instant("cat_a", "marker");
         counter_sample(CYCLE_PID, 3, "bytes", 10.0, 42.0);
-        {
-            let _s = span("cat_b", "scoped");
-        }
-        span("cat_b", "cancelled").cancel();
         let mut ct = ChromeTrace::new();
         ct.name_process(CYCLE_PID, "cycles");
         drain_into(&mut ct);
-        assert_eq!(ct.len(), 4, "cancelled span must not record");
+        assert_eq!(ct.len(), 3, "every recorded event drains");
         let file = ct.to_file();
         let phases: Vec<&str> = file.traceEvents.iter().map(|e| e.ph.as_str()).collect();
         assert!(phases.contains(&"M") && phases.contains(&"X") && phases.contains(&"i"));

@@ -330,59 +330,35 @@ where
     let guard = PermitGuard(acquire_permits(n - 1));
     if guard.0 == 0 {
         // Nested call or single-thread pool: degrade to inline serial.
-        let _pf = sfq_obs::prof::frame("par.serial_fallback");
+        let _region = sfq_obs::region("par.serial_fallback");
         sfq_obs::inc("par.serial_fallback");
         // A 1-core sweep still narrates itself (a nested call finds
         // the slot taken and stays quiet — its ticks would inflate
         // the enclosing phase's done count).
-        let progress = sfq_obs::progress::Region::enter("par_map", n as u64);
+        let progress = sfq_obs::progress::Phase::enter("par_map", n as u64);
         let progress_on = progress.is_claimed();
-        let serial = |items: &[T]| {
-            items
-                .iter()
-                .map(|it| {
-                    let r = f(it);
-                    if progress_on {
-                        sfq_obs::progress::tick(1);
-                    }
-                    r
-                })
-                .collect()
-        };
-        if sfq_obs::trace::enabled() {
-            // Still mark the region on the timeline so a 1-core trace
-            // shows where the fan-outs (serially) ran.
-            let t0 = sfq_obs::trace::now_us();
-            let out = serial(items);
-            sfq_obs::trace::complete(
-                "par",
-                &format!("par_map region ({n} items, serial)"),
-                t0,
-                sfq_obs::trace::now_us() - t0,
-            );
-            return out;
-        }
-        return serial(items);
+        return items
+            .iter()
+            .map(|it| {
+                let r = f(it);
+                if progress_on {
+                    sfq_obs::progress::tick(1);
+                }
+                r
+            })
+            .collect();
     }
-    // Metrics and trace gates, sampled once per region so every worker
-    // of this region agrees (a mid-region toggle cannot skew the
-    // counts or tear the track layout).
+    // Metrics gate, sampled once per region so every worker of this
+    // region agrees (a mid-region toggle cannot skew the counts).
     let metrics_on = sfq_obs::enabled();
-    let trace_on = sfq_obs::trace::enabled();
-    let prof_on = sfq_obs::prof::enabled();
-    let region_t0 = if trace_on {
-        sfq_obs::trace::now_us()
-    } else {
-        0.0
-    };
 
     // Cost probe: item 0 runs inline on the caller, timed. The probe
     // both warms lazy statics and prices the remaining work.
-    let probe_frame = prof_on.then(|| sfq_obs::prof::frame("par.probe"));
+    let probe_region = sfq_obs::region("par.probe");
     let probe_t0 = Instant::now();
     let r0 = f(&items[0]);
     let probe_us = probe_t0.elapsed().as_secs_f64() * 1e6;
-    drop(probe_frame);
+    drop(probe_region);
     if metrics_on {
         sfq_obs::observe("par.task_ms", probe_us * 1e-3);
     }
@@ -393,20 +369,12 @@ where
         // Break-even fallback: the whole region is projected cheaper
         // than spawning workers — finish inline. This is what keeps
         // fig20-scale sweeps from losing to serial.
-        let inline_frame = prof_on.then(|| sfq_obs::prof::frame("par.inline"));
+        let inline_region = sfq_obs::region("par.inline");
         let out = finish_inline(items, r0, &f, metrics_on);
-        drop(inline_frame);
+        drop(inline_region);
         drop(guard);
         if metrics_on {
             sfq_obs::inc("par.breakeven_serial");
-        }
-        if trace_on {
-            sfq_obs::trace::complete(
-                "par",
-                &format!("par_map region ({n} items, break-even serial)"),
-                region_t0,
-                sfq_obs::trace::now_us() - region_t0,
-            );
         }
         return out;
     }
@@ -416,7 +384,7 @@ where
     // resilient runner) already narrates this work. Only the claimer
     // ticks — nested regions inside one logical point must not
     // inflate the done count past the total.
-    let progress = sfq_obs::progress::Region::enter("par_map", n as u64);
+    let progress = sfq_obs::progress::Phase::enter("par_map", n as u64);
     let progress_on = progress.is_claimed();
     if progress_on {
         // The probe item already ran inline.
@@ -438,7 +406,7 @@ where
         sfq_obs::gauge_set("par.chunk_size", chunk as f64);
         sfq_obs::add("par.chunks", plan.chunks.len() as u64);
     }
-    if trace_on {
+    if sfq_obs::trace::enabled() {
         for w in 0..workers {
             sfq_obs::trace::name_track(
                 sfq_obs::trace::HOST_PID,
@@ -457,16 +425,15 @@ where
     let plan = &plan;
     let cursors = &cursors;
     let run = |worker: usize, out: &mut Vec<(usize, R)>| {
-        // Route this worker's default-track trace events (its own task
-        // slices plus anything `f` records, e.g. solver run spans) to
-        // its stable pool-worker track for the life of the region.
-        let _track = trace_on.then(|| {
-            sfq_obs::trace::with_track(sfq_obs::trace::HOST_PID, WORKER_TRACK_BASE + worker as u64)
-        });
-        // One profile frame per worker slot: everything `f` records
-        // (solver runs, cache fills) nests under it, giving the merged
-        // report exact per-worker sub-trees.
-        let _pf = prof_on.then(|| sfq_obs::prof::frame(&format!("par.worker.{worker}")));
+        // Route this worker's default-track trace events (its own
+        // region slices plus anything `f` records, e.g. solver runs)
+        // to its stable pool-worker track for the life of the region.
+        let _track =
+            sfq_obs::trace::with_track(sfq_obs::trace::HOST_PID, WORKER_TRACK_BASE + worker as u64);
+        // One region per worker slot: everything `f` records (solver
+        // runs, cache fills) nests under it, giving the merged profile
+        // exact per-worker sub-trees.
+        let _worker = sfq_obs::region(&format!("par.worker.{worker}"));
         let mut own = 0u64;
         let mut stolen = 0u64;
         for delta in 0..plan.queues.len() {
@@ -478,15 +445,10 @@ where
                     break;
                 };
                 let (off, len) = plan.chunks[chunk_id as usize];
-                let trace_t0 = if trace_on {
-                    sfq_obs::trace::now_us()
-                } else {
-                    0.0
-                };
-                // Chunk execution as a frame (not a pre-aggregated
-                // leaf) so the frames `f` itself opens nest inside it.
-                let chunk_frame = prof_on
-                    .then(|| sfq_obs::prof::frame(if stealing { "steal" } else { "chunk_exec" }));
+                // Chunk execution as a region (not a pre-aggregated
+                // leaf) so the regions `f` itself opens nest inside it.
+                let chunk_region =
+                    sfq_obs::region(if stealing { "par.steal" } else { "par.chunk" });
                 for &i in &plan.order[off as usize..(off + len) as usize] {
                     if metrics_on {
                         let t0 = Instant::now();
@@ -496,22 +458,9 @@ where
                         out.push((i as usize, f(&items[i as usize])));
                     }
                 }
-                drop(chunk_frame);
+                drop(chunk_region);
                 if progress_on {
                     sfq_obs::progress::tick(u64::from(len));
-                }
-                if trace_on {
-                    let name = if stealing {
-                        format!("chunk ({len} items, stolen)")
-                    } else {
-                        format!("chunk ({len} items)")
-                    };
-                    sfq_obs::trace::complete(
-                        "par",
-                        &name,
-                        trace_t0,
-                        sfq_obs::trace::now_us() - trace_t0,
-                    );
                 }
                 if stealing {
                     stolen += u64::from(len);
@@ -520,7 +469,7 @@ where
                 }
             }
         }
-        if prof_on && own + stolen > 0 {
+        if own + stolen > 0 {
             sfq_obs::prof::count("tasks", own + stolen);
             sfq_obs::prof::count("tasks_stolen", stolen);
         }
@@ -576,14 +525,6 @@ where
         // The probe task ran on the caller before fan-out.
         sfq_obs::add("par.tasks", 1);
         sfq_obs::add("par.tasks_inline", 1);
-    }
-    if trace_on {
-        sfq_obs::trace::complete(
-            "par",
-            &format!("par_map region ({n} items)"),
-            region_t0,
-            sfq_obs::trace::now_us() - region_t0,
-        );
     }
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();

@@ -35,8 +35,8 @@ fn main() {
     // 2. A full design-space sweep on the worker pool. This drives the
     //    estimator cache (estimator.estimate.*), the thread pool
     //    (par.tasks, par.task_ms, par.worker.N.tasks), the cycle
-    //    simulator (npusim.layer.*, npusim.network.sim_ms) and the
-    //    sweep spans (explore.fig21.ms, explore.fig21.point_ms).
+    //    simulator (npusim.layer.*, npusim.network_ms) and the sweep
+    //    regions (explore.fig21_ms, explore.fig21.point_ms).
     let points = supernpu::explore::fig21_resource_sweep();
     println!("\nfig21 resource sweep: {} points", points.len());
 

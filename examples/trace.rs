@@ -39,7 +39,7 @@ fn main() -> ExitCode {
     sfq_obs::trace::set_detail(true);
     sfq_par::set_threads(sfq_par::threads().max(2));
 
-    // 1. A transient solve — one `solver.run` slice plus detail
+    // 1. A transient solve — one `jjsim.solver.run` slice plus detail
     //    instants on the jjsim track.
     let (ckt, stages) = jjsim::stdlib::jtl_chain(8, &jjsim::stdlib::JtlParams::default());
     let out = jjsim::Solver::new(ckt, jjsim::SimOptions::default())
@@ -50,8 +50,9 @@ fn main() -> ExitCode {
         out.pulse_times(stages[7]).first().copied().unwrap_or(0.0) * 1e12
     );
 
-    // 2. A design-space sweep — the `sweep` slice plus `pool worker N`
-    //    task slices from the par_map fan-out.
+    // 2. A design-space sweep — the `explore.fig20` region's slice in
+    //    category `explore` plus `par.*` region slices on the
+    //    `pool worker N` tracks of the par_map fan-out.
     let points = supernpu::explore::fig20_buffer_sweep();
     println!("fig20 sweep: {} points", points.len());
 
@@ -117,7 +118,7 @@ fn main() -> ExitCode {
             meta_name_contains(e, "pool worker")
         }),
         ("solver slice", &|e| cat_is(e, "jjsim")),
-        ("sweep slice", &|e| cat_is(e, "sweep")),
+        ("explore sweep slice", &|e| cat_is(e, "explore")),
         ("npusim cycle slice", &|e| {
             cat_is(e, "npusim")
                 && get(e, "pid").and_then(Value::as_u64)

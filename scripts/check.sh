@@ -41,20 +41,27 @@ echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
 echo "== cargo test -q -p sfq-obs =="
+# Includes the switch's table-driven parse of the observability
+# variables and one sfq_obs::region feeding all three sinks.
 cargo test -q -p sfq-obs
 
 echo "== cargo test -q --test observability =="
+# Includes the disabled-path check: with every sink off, gated helpers
+# and sfq_obs::region must leave the registry untouched and register
+# no trace sink or profile tree.
 cargo test -q --test observability
 
 echo "== cargo test -q --test tracing =="
 # Includes the disabled-path check: with SUPERNPU_TRACE unset the
-# trace helpers must register no sinks and record no events.
+# trace helpers and an sfq_obs::region must register no sinks and
+# record no events.
 cargo test -q --test tracing
 
 echo "== cargo test -q --test profiling =="
 # Includes the disabled-path check: with SUPERNPU_PROFILE unset the
-# profiler helpers must register no thread trees and record nothing,
-# and the fig20 sweep must be bit-identical with profiling on.
+# profiler helpers and an sfq_obs::region must register no thread
+# trees and record nothing, and the fig20 sweep must be bit-identical
+# with profiling on.
 cargo test -q --test profiling
 
 echo "== cargo test -q -p supernpu-bench --test artifact_outputs =="
@@ -114,7 +121,9 @@ fi
 
 echo "== trace example end-to-end =="
 # The example writes a Chrome trace and exits nonzero unless the file
-# re-parses with every required field and track family present.
+# re-parses with every required field and track family present: pool
+# worker tracks, a jjsim solver slice, an explore sweep slice and the
+# npusim cycle tracks.
 SUPERNPU_TRACE="$tmp/trace.json" cargo run --release --example trace
 
 echo "== end-to-end output check (bench_e2e at its golden seed) =="

@@ -76,7 +76,7 @@ fn observability_end_to_end() {
         i
     });
     {
-        let _span = sfq_obs::span("obs_test.disabled.span_ms");
+        let _region = sfq_obs::region("obs_test.disabled.region");
     }
     let after = sfq_obs::snapshot();
     assert_eq!(
@@ -84,6 +84,10 @@ fn observability_end_to_end() {
         "disabled metrics must not touch the registry"
     );
     assert_eq!(after.counter("obs_test.disabled.events"), None);
+    // With every sink off a region feeds none of them.
+    assert!(after.histogram("obs_test.disabled.region_ms").is_none());
+    assert_eq!(sfq_obs::trace::sinks_registered(), 0, "no trace sink");
+    assert_eq!(sfq_obs::prof::threads_registered(), 0, "no profile tree");
 
     // --- 4. Metrics cannot change results: fig20 bit-identical -------
     // The result memo is emptied before each run, so both runs compute

@@ -19,7 +19,7 @@ fn profiling_end_to_end() {
     prof::clear();
     assert!(!prof::enabled());
     {
-        let _f = prof::frame("never");
+        let _f = sfq_obs::region("never");
         prof::count("never", 1);
         prof::record_leaf("never", 1, 100);
     }
@@ -32,6 +32,10 @@ fn profiling_end_to_end() {
         prof::snapshot().paths.is_empty(),
         "disabled helpers must record nothing"
     );
+    // With every sink off the region fed none of them.
+    assert!(!sfq_obs::enabled() && !sfq_obs::trace::enabled());
+    assert!(sfq_obs::snapshot().histogram("never_ms").is_none());
+    assert_eq!(sfq_obs::trace::sinks_registered(), 0, "no trace sink");
 
     // --- 2. Profiling on/off does not change sweep output -------------
     // The result memo is emptied before each run, so both runs compute
@@ -75,15 +79,15 @@ fn profiling_end_to_end() {
 
     // --- 4. Solver kernel laps under an explicit wrapper frame ---------
     {
-        let _f = prof::frame("test_cell");
+        let _f = sfq_obs::region("test_cell");
         let (ckt, _) = jjsim::stdlib::jtl_chain(40, &jjsim::stdlib::JtlParams::default());
         let solver = jjsim::Solver::new(ckt, jjsim::SimOptions::adaptive()).expect("valid circuit");
         solver.try_run(200e-12).expect("transient converges");
     }
     let report = prof::snapshot();
     let run = report
-        .path("test_cell;solver.run")
-        .expect("solver.run frame recorded under wrapper");
+        .path("test_cell;jjsim.solver.run")
+        .expect("jjsim.solver.run frame recorded under wrapper");
     assert_eq!(run.calls, 1);
     for kernel in [
         "restamp",
@@ -96,12 +100,12 @@ fn profiling_end_to_end() {
         "commit",
     ] {
         let p = report
-            .path(&format!("test_cell;solver.run;{kernel}"))
+            .path(&format!("test_cell;jjsim.solver.run;{kernel}"))
             .unwrap_or_else(|| panic!("kernel path '{kernel}' missing"));
         assert!(p.calls > 0, "kernel '{kernel}' recorded zero calls");
     }
     assert!(
-        report.descendants_self_ms("test_cell;solver.run") > 0.0,
+        report.descendants_self_ms("test_cell;jjsim.solver.run") > 0.0,
         "kernel self-times all zero"
     );
     assert!(
@@ -112,14 +116,14 @@ fn profiling_end_to_end() {
         run.counters
     );
 
-    // --- 5. Batched solver kernels attribute under solver.run ----------
+    // --- 5. Batched solver kernels attribute under jjsim.solver.run ----
     // The lane-batched path must merge its kernel times under the same
-    // `solver.run` frame (inside a `solver.batch` wrapper) with the
-    // scalar kernel names, so the kernel-coverage gate counts batched
-    // work as ordinary solver work.
+    // `jjsim.solver.run` frame (inside a `jjsim.solver.batch` wrapper)
+    // with the scalar kernel names, so the kernel-coverage gate counts
+    // batched work as ordinary solver work.
     jjsim::set_batch_width(Some(jjsim::LANES));
     {
-        let _f = prof::frame("test_batch");
+        let _f = sfq_obs::region("test_batch");
         let circuits: Vec<_> = [1.0, 0.97, 1.03, 1.06]
             .iter()
             .map(|s| {
@@ -137,22 +141,24 @@ fn profiling_end_to_end() {
     jjsim::set_batch_width(None);
     let report = prof::snapshot();
     let batch_run = report
-        .path("test_batch;solver.batch;solver.run")
-        .expect("batched solver.run frame recorded under solver.batch");
+        .path("test_batch;jjsim.solver.batch;jjsim.solver.run")
+        .expect("batched jjsim.solver.run frame recorded under jjsim.solver.batch");
     assert_eq!(batch_run.calls, 1);
     for kernel in ["stamp", "newton;jj_stamp_rhs", "newton;lu_factor", "commit"] {
         let p = report
-            .path(&format!("test_batch;solver.batch;solver.run;{kernel}"))
+            .path(&format!(
+                "test_batch;jjsim.solver.batch;jjsim.solver.run;{kernel}"
+            ))
             .unwrap_or_else(|| panic!("batched kernel path '{kernel}' missing"));
         assert!(p.calls > 0, "batched kernel '{kernel}' recorded zero calls");
     }
     assert!(
-        report.descendants_self_ms("test_batch;solver.batch;solver.run") > 0.0,
+        report.descendants_self_ms("test_batch;jjsim.solver.batch;jjsim.solver.run") > 0.0,
         "batched kernel self-times all zero — coverage gate would see an opaque run"
     );
     let batch_frame = report
-        .path("test_batch;solver.batch")
-        .expect("solver.batch wrapper frame recorded");
+        .path("test_batch;jjsim.solver.batch")
+        .expect("jjsim.solver.batch wrapper frame recorded");
     assert!(
         batch_frame
             .counters
@@ -173,7 +179,7 @@ fn profiling_end_to_end() {
     assert!(
         folded
             .lines()
-            .any(|l| l.starts_with("test_cell;solver.run;newton ")),
+            .any(|l| l.starts_with("test_cell;jjsim.solver.run;newton ")),
         "folded output missing kernel stack"
     );
     let json = serde_json::to_string(&report).unwrap();

@@ -29,13 +29,17 @@ fn tracing_end_to_end() {
     trace::complete("test", "never", 0.0, 1.0);
     trace::instant("test", "never");
     {
-        let _s = trace::span("test", "never");
+        let _s = sfq_obs::region("test.never");
     }
     assert_eq!(
         trace::sinks_registered(),
         0,
         "disabled helpers must not register a sink"
     );
+    // With every sink off the region fed none of them.
+    assert!(!sfq_obs::enabled() && !sfq_obs::prof::enabled());
+    assert!(sfq_obs::snapshot().histogram("test.never_ms").is_none());
+    assert_eq!(sfq_obs::prof::threads_registered(), 0, "no profile tree");
     let mut ct = trace::ChromeTrace::new();
     trace::drain_into(&mut ct);
     assert!(ct.is_empty(), "disabled helpers must record nothing");
