@@ -69,15 +69,19 @@ fn main() -> ExitCode {
         }
         Ok(report) => {
             println!(
-                "bench_compare: {baseline} vs {fresh} — {} checks, {} failures \
-                 (factor {}, abs {} ms)",
+                "bench_compare: {baseline} vs {fresh} — {} checks, {} failures, \
+                 {} vacuous (factor {}, abs {} ms)",
                 report.checks,
                 report.failures.len(),
+                report.vacuous.len(),
                 tol.factor,
                 tol.abs_ms
             );
             for s in &report.skipped {
                 println!("SKIP: {s}");
+            }
+            for v in &report.vacuous {
+                println!("VACUOUS: {v}");
             }
             if report.passed() {
                 println!("PASS");

@@ -6,8 +6,7 @@
 //! 1. **Overhead** — with guards disabled
 //!    ([`ResilientOpts::unguarded`]) the resilient Fig. 20 sweep must
 //!    cost within 2% (plus a small absolute floor for scheduler
-//!    noise) of the plain `par_map_catch` sweep, and produce
-//!    bit-identical values.
+//!    noise) of the plain sweep, and produce bit-identical values.
 //! 2. **Zero silent loss under chaos** — with the chaos harness
 //!    injecting panics, forced timeouts and stalls into 3/16 of
 //!    `(task, attempt)` draws, every point of every sweep still ends

@@ -149,18 +149,13 @@ fn synthetic_points(n: usize) -> Vec<NpuConfig> {
 
 /// One pass of the stress workload: estimate every point (bypassing
 /// the memo so each task does real work) and return a bit-exact
-/// fingerprint of the results, keyed by width so points sharing a
-/// characterization working set land on the same worker.
+/// fingerprint of the results.
 fn stress_pass(points: &[NpuConfig]) -> Vec<[u64; 2]> {
     let lib = sfq_cells::CellLibrary::aist_10um();
-    sfq_par::par_map_keyed(
-        points,
-        |cfg| u64::from(cfg.array_width),
-        |cfg| {
-            let est = estimate_uncached(cfg, &lib);
-            [est.peak_tmacs.to_bits(), est.area_mm2_native.to_bits()]
-        },
-    )
+    sfq_par::par_map(points, |cfg| {
+        let est = estimate_uncached(cfg, &lib);
+        [est.peak_tmacs.to_bits(), est.area_mm2_native.to_bits()]
+    })
 }
 
 struct StressRung {

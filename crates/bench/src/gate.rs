@@ -51,6 +51,11 @@ pub struct GateReport {
     /// on a one-core machine), with the reason — surfaced so a "PASS"
     /// on a laptop is readable as weaker than a "PASS" on CI.
     pub skipped: Vec<String>,
+    /// Timing checks whose additive slack is at least their baseline,
+    /// so the limit is at least `factor + 1` times the baseline and
+    /// the check can barely fail — surfaced so a vacuous gate is
+    /// visible.
+    pub vacuous: Vec<String>,
 }
 
 impl GateReport {
@@ -111,6 +116,13 @@ fn check_timing(
         return;
     };
     let limit = b * tol.factor + tol.abs_ms;
+    if tol.abs_ms >= b {
+        report.vacuous.push(format!(
+            "{kind} '{name}': {field} limit {limit:.3} ms for a {b:.3} ms baseline \
+             (abs slack {} ms)",
+            tol.abs_ms
+        ));
+    }
     report.check(f <= limit, || {
         format!(
             "{kind} '{name}': {field} regressed {f:.3} ms > limit {limit:.3} ms \
@@ -601,6 +613,12 @@ mod tests {
         // 5 ms → 80 ms is a 16× slowdown but within the 107.5 ms limit.
         let r = compare_json(&sweeps(5.0, true), &sweeps(80.0, true), &tol).unwrap();
         assert!(r.passed(), "{:?}", r.failures);
+        // So that check is vacuous, and reported as such; a baseline
+        // above the slack is not.
+        assert_eq!(r.vacuous.len(), 1, "{:?}", r.vacuous);
+        assert!(r.vacuous[0].contains("parallel_ms"), "{:?}", r.vacuous);
+        let r = compare_json(&sweeps(150.0, true), &sweeps(150.0, true), &tol).unwrap();
+        assert!(r.vacuous.is_empty(), "{:?}", r.vacuous);
     }
 
     #[test]

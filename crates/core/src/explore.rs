@@ -4,8 +4,9 @@ use dnn_models::Network;
 use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 use sfq_estimator::{estimate, NpuConfig};
+use sfq_guard::RunBudget;
 use sfq_npu_sim::SimConfig;
-use sfq_par::{par_map_catch, par_map_catch_keyed};
+use sfq_par::{par_map_deadline, TaskOutcome};
 
 use crate::evaluator::{geomean, geomean_tmacs_over, paper_workloads};
 use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
@@ -13,40 +14,38 @@ use crate::results::memoized;
 
 const MB: u64 = 1024 * 1024;
 
-/// Collect a crash-isolated sweep: a panicking point is dropped (and
-/// counted under `explore.points_lost`) instead of taking the whole
+/// Run a crash-isolated sweep: `point` fans out over `items` through
+/// [`par_map_deadline`] with no budget of its own, and a point that
+/// does not complete (a panic, or a chaos-forced timeout) is dropped
+/// and counted under `explore.points_lost` instead of taking the whole
 /// sweep down. Returns the surviving points and whether the sweep is
 /// complete (no point lost), which decides whether the result memo
 /// may keep it. Deterministic: which points survive depends only on
 /// the inputs, never on the schedule.
-fn collect_sweep<P>(
+fn collect_sweep<T: Sync, P: Send>(
     sweep: &'static str,
-    results: Vec<Result<P, sfq_par::TaskPanic>>,
+    items: &[T],
+    point: impl Fn(&T) -> P + Sync,
 ) -> (Vec<P>, bool) {
-    let mut out = Vec::with_capacity(results.len());
+    let outcomes = par_map_deadline(items, &RunBudget::unlimited(), point);
+    let mut out = Vec::with_capacity(outcomes.len());
     let mut complete = true;
-    for r in results {
-        match r {
-            Ok(p) => out.push(p),
-            Err(e) => {
-                complete = false;
-                sfq_obs::inc("explore.points_lost");
-                sfq_obs::log(sfq_obs::Level::Warn, || {
-                    format!("{sweep}: sweep point lost: {e}")
-                });
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let lost = match outcome {
+            TaskOutcome::Completed(p) => {
+                out.push(p);
+                continue;
             }
-        }
+            TaskOutcome::Panicked(e) => e.to_string(),
+            TaskOutcome::TimedOut | TaskOutcome::Cancelled => format!("task {i} did not run"),
+        };
+        complete = false;
+        sfq_obs::inc("explore.points_lost");
+        sfq_obs::log(sfq_obs::Level::Warn, || {
+            format!("{sweep}: sweep point lost: {lost}")
+        });
     }
     (out, complete)
-}
-
-/// Geomean effective TMAC/s of a config across the six workloads.
-///
-/// The workload list is passed in (loaded once per sweep) rather than
-/// re-instantiated per sweep point; see
-/// [`crate::evaluator::geomean_tmacs_over`].
-fn geomean_tmacs(cfg: &SimConfig, nets: &[Network], single_batch: bool) -> f64 {
-    geomean_tmacs_over(cfg, nets, single_batch)
 }
 
 // ---------------------------------------------------------------- Fig 20
@@ -86,8 +85,8 @@ impl Fig20Ctx {
         let lib = CellLibrary::aist_10um();
         let nets = paper_workloads();
         let baseline_cfg = SimConfig::paper_baseline();
-        let base_single = geomean_tmacs(&baseline_cfg, &nets, true);
-        let base_max = geomean_tmacs(&baseline_cfg, &nets, false);
+        let base_single = geomean_tmacs_over(&baseline_cfg, &nets, true);
+        let base_max = geomean_tmacs_over(&baseline_cfg, &nets, false);
         let base_area = estimate(&baseline_cfg.npu, &lib).area_mm2_native;
         Fig20Ctx {
             lib,
@@ -126,8 +125,8 @@ impl Fig20Ctx {
         BufferSweepPoint {
             label,
             division,
-            single_batch: geomean_tmacs(&cfg, &self.nets, true) / self.base_single,
-            max_batch: geomean_tmacs(&cfg, &self.nets, false) / self.base_max,
+            single_batch: geomean_tmacs_over(&cfg, &self.nets, true) / self.base_single,
+            max_batch: geomean_tmacs_over(&cfg, &self.nets, false) / self.base_max,
             area: estimate(&cfg.npu, &self.lib).area_mm2_native / self.base_area,
         }
     }
@@ -144,8 +143,8 @@ pub fn fig20_buffer_sweep() -> Vec<BufferSweepPoint> {
             "fig20: buffer-division sweep starting".into()
         });
         let ctx = Fig20Ctx::new();
-        let swept = par_map_catch(&FIG20_DIVISIONS, |&division| ctx.point(division));
-        let (swept, complete) = collect_sweep("fig20", swept);
+        let (swept, complete) =
+            collect_sweep("fig20", &FIG20_DIVISIONS, |&division| ctx.point(division));
         let mut points = vec![Fig20Ctx::baseline_point()];
         points.extend(swept);
         (points, complete)
@@ -222,7 +221,7 @@ impl Fig21Ctx {
     fn new() -> Self {
         let lib = CellLibrary::aist_10um();
         let nets = paper_workloads();
-        let base_max = geomean_tmacs(&SimConfig::paper_baseline(), &nets, false);
+        let base_max = geomean_tmacs_over(&SimConfig::paper_baseline(), &nets, false);
         let base_intensity = geomean(
             &nets
                 .iter()
@@ -273,8 +272,8 @@ impl Fig21Ctx {
         ResourceSweepPoint {
             width,
             buffer_mb,
-            max_batch_fixed_buffer: geomean_tmacs(&fixed, &self.nets, false) / self.base_max,
-            max_batch_added_buffer: geomean_tmacs(&added, &self.nets, false) / self.base_max,
+            max_batch_fixed_buffer: geomean_tmacs_over(&fixed, &self.nets, false) / self.base_max,
+            max_batch_added_buffer: geomean_tmacs_over(&added, &self.nets, false) / self.base_max,
             intensity,
         }
     }
@@ -291,10 +290,9 @@ pub fn fig21_resource_sweep() -> Vec<ResourceSweepPoint> {
             "fig21: resource-balancing sweep starting".into()
         });
         let ctx = Fig21Ctx::new();
-        let swept = par_map_catch(&FIG21_SCHEDULE, |&(width, buffer_mb)| {
+        collect_sweep("fig21", &FIG21_SCHEDULE, |&(width, buffer_mb)| {
             ctx.point(width, buffer_mb)
-        });
-        collect_sweep("fig21", swept)
+        })
     })
 }
 
@@ -361,7 +359,7 @@ impl Fig22Ctx {
     fn new() -> Self {
         let lib = CellLibrary::aist_10um();
         let nets = paper_workloads();
-        let base_max = geomean_tmacs(&SimConfig::paper_baseline(), &nets, false);
+        let base_max = geomean_tmacs_over(&SimConfig::paper_baseline(), &nets, false);
         Fig22Ctx {
             lib,
             nets,
@@ -389,7 +387,7 @@ impl Fig22Ctx {
         RegisterSweepPoint {
             width,
             regs,
-            performance: geomean_tmacs(&cfg, &self.nets, false) / self.base_max,
+            performance: geomean_tmacs_over(&cfg, &self.nets, false) / self.base_max,
         }
     }
 }
@@ -404,17 +402,9 @@ pub fn fig22_register_sweep() -> Vec<RegisterSweepPoint> {
             "fig22: per-PE register sweep starting".into()
         });
         let ctx = Fig22Ctx::new();
-        let grid = fig22_grid();
-        // Keyed by array width: every point of one width shares the same
-        // characterization and estimate-cache working set, so steering a
-        // width's points to one worker keeps those cache lines (and the
-        // memo scans) warm instead of bouncing them between threads.
-        let swept = par_map_catch_keyed(
-            &grid,
-            |&(width, _, _)| u64::from(width),
-            |&(width, buffer_mb, regs)| ctx.point(width, buffer_mb, regs),
-        );
-        collect_sweep("fig22", swept)
+        collect_sweep("fig22", &fig22_grid(), |&(width, buffer_mb, regs)| {
+            ctx.point(width, buffer_mb, regs)
+        })
     })
 }
 

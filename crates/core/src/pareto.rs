@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 use sfq_estimator::{estimate, NpuConfig};
 use sfq_npu_sim::SimConfig;
-use sfq_par::par_map_keyed;
+use sfq_par::par_map;
 
 use crate::evaluator::{geomean_tmacs_over, paper_workloads};
 
@@ -43,10 +43,7 @@ impl Candidate {
 
 /// Evaluate a grid of candidates around the paper's design region.
 /// Candidates are independent, so the grid fans out across threads
-/// via [`sfq_par::par_map_keyed`], keyed by array width: candidates
-/// sharing a width reuse the same estimate/characterization working
-/// set, so affining them to one worker keeps those memos cache-warm
-/// while stealing still rebalances if one width runs long.
+/// via [`sfq_par::par_map`].
 pub fn evaluate_grid() -> Vec<Candidate> {
     let _grid = sfq_obs::region("pareto.grid");
     let points = grid_points();
@@ -56,11 +53,9 @@ pub fn evaluate_grid() -> Vec<Candidate> {
     let lib = CellLibrary::aist_10um();
     let nets = paper_workloads();
 
-    par_map_keyed(
-        &points,
-        |&(width, _, _)| u64::from(width),
-        |&(width, buffer_mb, regs)| candidate(&lib, &nets, width, buffer_mb, regs),
-    )
+    par_map(&points, |&(width, buffer_mb, regs)| {
+        candidate(&lib, &nets, width, buffer_mb, regs)
+    })
 }
 
 fn grid_points() -> Vec<(u32, u64, u32)> {

@@ -6,8 +6,9 @@
 //! index. [`run_resilient`] runs that shape under execution guards:
 //!
 //! * the whole sweep shares one [`sfq_guard::RunBudget`]
-//!   (deadline + cancel token), installed as the ambient guard around
-//!   every point so transient solves inside observe it too;
+//!   (deadline + cancel token); a limited one is installed as the
+//!   ambient guard around every point so transient solves inside
+//!   observe it too;
 //! * a point that panics or times out is retried serially under
 //!   exponential backoff, then degraded to the caller's `fallback`
 //!   (typically the same closed-form evaluation, or reference numbers
@@ -26,8 +27,8 @@
 //!
 //! With default options (unlimited budget, no checkpoint) the runner
 //! degenerates to a single [`sfq_par::par_map_deadline`] dispatch —
-//! the same scheduling as the plain sweeps' `par_map_catch`, so the
-//! guard layer costs nothing when it is not asked for.
+//! the same dispatch the plain sweeps make — plus per-point
+//! bookkeeping.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -135,8 +136,8 @@ impl<P> SweepReport<P> {
 /// Options for [`run_resilient`].
 #[derive(Debug, Clone)]
 pub struct ResilientOpts {
-    /// Whole-sweep budget (deadline, cancel token). Installed as the
-    /// ambient guard around every point evaluation.
+    /// Whole-sweep budget (deadline, cancel token). When limited, it
+    /// is installed as the ambient guard around every point evaluation.
     pub budget: RunBudget,
     /// Serial retries (with exponential backoff) for a point that
     /// panicked or was chaos-timed-out before degrading to the
@@ -155,7 +156,7 @@ pub struct ResilientOpts {
 
 impl ResilientOpts {
     /// No guards at all: unlimited budget, default retries, no
-    /// checkpoint — the ≤2%-overhead configuration.
+    /// checkpoint.
     #[must_use]
     pub fn unguarded() -> Self {
         ResilientOpts {
@@ -465,9 +466,8 @@ where
         sfq_obs::progress::tick(restored as u64);
     }
 
-    // Chunk size: the checkpoint cadence, or everything at once (a
-    // single dispatch with the same scheduling as `par_map_catch`)
-    // when checkpointing is off.
+    // Chunk size: the checkpoint cadence, or everything at once (the
+    // plain sweeps' single dispatch) when checkpointing is off.
     let chunk = if opts.checkpoint_path.is_some() && opts.checkpoint_every > 0 {
         opts.checkpoint_every
     } else {

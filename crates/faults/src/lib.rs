@@ -14,7 +14,7 @@
 //!   gracefully instead of aborting.
 //! * **Harness layer** — a crash-isolated sweep engine: a panicking or
 //!   non-converging probe poisons only its own sample
-//!   (`sfq_par::par_map_catch` + a bounded retry budget + the typed
+//!   (`sfq_par::par_map_deadline` + a bounded retry budget + the typed
 //!   `jjsim::SimError::NonConvergent`), with periodic checkpoints of
 //!   the completed prefix and bit-identical `--resume`.
 //!

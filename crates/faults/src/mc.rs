@@ -12,7 +12,7 @@
 //! ## Robustness contract
 //!
 //! * A sample that **panics** (whether injected via [`Injection`] or a
-//!   genuine solver bug) is caught by `sfq_par::par_map_catch` and
+//!   genuine solver bug) is caught by `sfq_par::par_map_deadline` and
 //!   recorded as [`Outcome::Panicked`] — it poisons only itself.
 //! * A sample whose transient **errors** is retried up to
 //!   `McOptions::retries` extra times, then recorded as
@@ -29,6 +29,8 @@ use std::path::{Path, PathBuf};
 use jjsim::stdlib::{clocked_and, dff, jtl_chain, AndParams, DffParams, JtlParams};
 use jjsim::{BatchedTransient, Circuit, ElementId, SimError, SimOptions, SimResult};
 use serde::{Deserialize, Serialize};
+use sfq_guard::RunBudget;
+use sfq_par::TaskOutcome;
 
 use crate::rng::SplitMix64;
 use crate::variation::{perturb_and, perturb_dff, perturb_jtl, Variation};
@@ -338,7 +340,7 @@ fn pass_or_fail(pass: bool) -> Outcome {
 }
 
 /// Run one sample alone to a verdict (everything but panic isolation,
-/// which the caller's `par_map_catch` provides).
+/// which the caller's `par_map_deadline` provides).
 fn run_sample(cell: Cell, sigma: f64, seed: u64, idx: usize, opts: &McOptions) -> Outcome {
     if opts.injection.panic_at.contains(&idx) {
         panic!("injected fault: sample {idx} of {} probe", cell.name());
@@ -372,13 +374,17 @@ fn scalar_group(
     idxs: &[usize],
     opts: &McOptions,
 ) -> Vec<Outcome> {
-    sfq_par::par_map_catch(idxs, |&i| run_sample(cell, sigma, seed, i, opts))
-        .into_iter()
-        .map(|r| match r {
-            Ok(o) => o,
-            Err(_panic) => Outcome::Panicked,
-        })
-        .collect()
+    sfq_par::par_map_deadline(idxs, &RunBudget::unlimited(), |&i| {
+        run_sample(cell, sigma, seed, i, opts)
+    })
+    .into_iter()
+    .map(|r| match r {
+        TaskOutcome::Completed(o) => o,
+        TaskOutcome::Panicked(_) => Outcome::Panicked,
+        // Skipped before it ran (a chaos-forced timeout): no verdict.
+        TaskOutcome::TimedOut | TaskOutcome::Cancelled => Outcome::NonConvergent,
+    })
+    .collect()
 }
 
 /// One lane group of a Monte-Carlo chunk. Injected groups keep the
@@ -520,16 +526,19 @@ pub fn run_outcomes(
             .into_iter()
             .map(|r| r.collect())
             .collect();
-        let per_group = sfq_par::par_map_catch(&groups, |g| run_group(cell, sigma, seed, g, opts));
+        let per_group = sfq_par::par_map_deadline(&groups, &RunBudget::unlimited(), |g| {
+            run_group(cell, sigma, seed, g, opts)
+        });
         let results: Vec<Outcome> = groups
             .iter()
             .zip(per_group)
             .flat_map(|(g, r)| match r {
-                Ok(outs) => outs,
+                TaskOutcome::Completed(outs) => outs,
                 // A panic in the group *bookkeeping* (the probes
-                // themselves are already contained): redo this group
-                // sample-by-sample with panic isolation.
-                Err(_panic) => scalar_group(cell, sigma, seed, g, opts),
+                // themselves are already contained) or a chaos-forced
+                // timeout: redo this group sample-by-sample with panic
+                // isolation.
+                _ => scalar_group(cell, sigma, seed, g, opts),
             })
             .collect();
         for outcome in results {

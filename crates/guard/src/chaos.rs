@@ -1,13 +1,15 @@
 //! Seeded chaos injection for the worker pool.
 //!
 //! When enabled (`SUPERNPU_CHAOS=<seed>` or [`set_chaos`]), the
-//! pool's *fault-tolerant* execution paths (`par_map_catch`,
-//! `par_map_deadline` and the resilient sweep runner's retry loop)
-//! consult [`decide`] before running a task and deterministically
-//! inject one of three faults: a panic, a short stall, or a forced
-//! timeout. The decision is a pure hash of `(seed, task, attempt)`,
-//! so a chaos run is reproducible and a retry of the same task sees
-//! an *independent* draw — exactly like a real transient fault.
+//! pool's *fault-tolerant* map (`par_map_deadline`, which every
+//! fallible fan-out uses: the explore sweeps, the Monte-Carlo yield
+//! runs and the resilient sweep runner) and the resilient runner's
+//! retry loop consult [`decide`] before running a task and
+//! deterministically inject one of three faults: a panic, a short
+//! stall, or a forced timeout. The decision is a pure hash of
+//! `(seed, task, attempt)`, so a chaos run is reproducible and a
+//! retry of the same task sees an *independent* draw — exactly like a
+//! real transient fault.
 //!
 //! Plain `par_map` is untouched: its contract is that tasks do not
 //! fail, and injecting faults there would crash the caller rather

@@ -20,15 +20,12 @@
 //! environment variable (which also disables the break-even fallback,
 //! for tests that need the parallel path unconditionally).
 //!
-//! # Cache-affine keyed scheduling
+//! # Fallible tasks
 //!
-//! [`par_map_keyed`] accepts an affinity key per item: items sharing a
-//! key (e.g. sweep points that hit the same characterization or
-//! estimate-cache entries) are queued on the same worker, so a warm
-//! cache line or memo entry is reused by the thread that filled it
-//! instead of bouncing between cores. Each worker drains its own queue
-//! first and steals whole chunks from other workers only when idle, so
-//! affinity never causes starvation.
+//! [`par_map_deadline`] runs the same schedule for tasks that may fail:
+//! each item runs under `catch_unwind` individually and ends in one
+//! [`TaskOutcome`], and a limited budget stops the region dispatching
+//! new tasks once its deadline passes or its cancel token fires.
 //!
 //! A global permit pool caps the total number of live workers across
 //! nested calls: an outer sweep grabs the available permits and inner
@@ -185,56 +182,10 @@ impl Drop for PermitGuard {
     }
 }
 
-/// Map `f` over `items` in parallel, returning results in input order.
-///
-/// `f` must be pure with respect to the output (it may read shared
-/// state); given that, the result is exactly `items.iter().map(f)` —
-/// every float operation happens with the same operands in the same
-/// per-item order regardless of thread count, chunk size, or affinity
-/// keys. Falls back to inline serial execution when the slice is
-/// short, only one thread is configured, all worker permits are held
-/// by an enclosing `par_map` (nested calls), or the cost probe decides
-/// the whole region is below the fan-out break-even point.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by `f` on any thread.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_region(items, None, f)
-}
-
-/// Like [`par_map`], but with an affinity key per item: items that
-/// share a key are scheduled on the same worker (in input order), so
-/// sweep points that hit the same characterization or estimate-cache
-/// entries reuse the worker that warmed them instead of contending
-/// across threads. Keys only steer the schedule — the results are
-/// bit-identical to [`par_map`] and to serial for any key function.
-///
-/// `key` is called once per item on the calling thread before fan-out;
-/// keep it trivially cheap (a field read or a small hash).
-pub fn par_map_keyed<T, R, F, K>(items: &[T], key: K, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    K: Fn(&T) -> u64,
-{
-    if items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let keys: Vec<u64> = items.iter().map(&key).collect();
-    map_region(items, Some(keys), f)
-}
-
 /// Execution plan of one parallel region: item indices in execution
 /// order, cut into chunks, with each chunk pre-assigned to a worker
-/// queue. Workers drain their own queue first (cache affinity), then
-/// steal whole chunks from other queues (load balance).
+/// queue. Workers drain their own queue first, then steal whole
+/// chunks from the other queues (load balance).
 struct Plan {
     /// Item indices (into the caller's slice) in execution order.
     /// Index 0 never appears: it is the caller's cost probe.
@@ -257,56 +208,21 @@ fn auto_chunk(probe_us: f64, remaining: usize, workers: usize) -> usize {
     by_cost.clamp(1, balance_cap)
 }
 
-/// Build the execution plan for items `1..n`.
-///
-/// Unkeyed: contiguous chunks dealt round-robin. Keyed: items are
-/// grouped by key in order of first appearance, each group is cut into
-/// chunks, and **all** chunks of a group land on the same queue.
-fn plan(n: usize, keys: Option<&[u64]>, chunk: usize, workers: usize) -> Plan {
+/// Build the execution plan for items `1..n`: contiguous chunks
+/// dealt round-robin across the worker queues.
+fn plan(n: usize, chunk: usize, workers: usize) -> Plan {
     let mut order: Vec<u32> = Vec::with_capacity(n - 1);
     let mut chunks: Vec<(u32, u32)> = Vec::new();
     let mut queues: Vec<Vec<u32>> = vec![Vec::new(); workers];
-    match keys {
-        None => {
-            order.extend(1..n as u32);
-            // Deal contiguous chunks round-robin across the queues.
-            let mut off = 0usize;
-            let mut q = 0usize;
-            while off < order.len() {
-                let take = chunk.min(order.len() - off);
-                queues[q % workers].push(chunks.len() as u32);
-                chunks.push((off as u32, take as u32));
-                off += take;
-                q += 1;
-            }
-        }
-        Some(keys) => {
-            // Group item indices by key, preserving input order inside
-            // each group and ordering groups by first appearance; all
-            // chunks of one group land on one queue.
-            let mut group_of: std::collections::HashMap<u64, usize> =
-                std::collections::HashMap::new();
-            let mut groups: Vec<Vec<u32>> = Vec::new();
-            for (i, &key) in keys.iter().enumerate().take(n).skip(1) {
-                let g = *group_of.entry(key).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[g].push(i as u32);
-            }
-            for (g, members) in groups.iter().enumerate() {
-                let start = order.len();
-                order.extend_from_slice(members);
-                let end = start + members.len();
-                let mut off = start;
-                while off < end {
-                    let take = chunk.min(end - off);
-                    queues[g % workers].push(chunks.len() as u32);
-                    chunks.push((off as u32, take as u32));
-                    off += take;
-                }
-            }
-        }
+    order.extend(1..n as u32);
+    let mut off = 0usize;
+    let mut q = 0usize;
+    while off < order.len() {
+        let take = chunk.min(order.len() - off);
+        queues[q % workers].push(chunks.len() as u32);
+        chunks.push((off as u32, take as u32));
+        off += take;
+        q += 1;
     }
     Plan {
         order,
@@ -315,9 +231,22 @@ fn plan(n: usize, keys: Option<&[u64]>, chunk: usize, workers: usize) -> Plan {
     }
 }
 
-/// The shared region runner behind [`par_map`] / [`par_map_keyed`].
+/// Map `f` over `items` in parallel, returning results in input order.
+///
+/// `f` must be pure with respect to the output (it may read shared
+/// state); given that, the result is exactly `items.iter().map(f)` —
+/// every float operation happens with the same operands in the same
+/// per-item order regardless of thread count or chunk size. Falls
+/// back to inline serial execution when the slice is short, only one
+/// thread is configured, all worker permits are held by an enclosing
+/// `par_map` (nested calls), or the cost probe decides the whole
+/// region is below the fan-out break-even point.
+///
+/// # Panics
+///
+/// Propagates the first panic raised by `f` on any thread.
 #[allow(clippy::too_many_lines)]
-fn map_region<T, R, F>(items: &[T], keys: Option<Vec<u64>>, f: F) -> Vec<R>
+pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -393,15 +322,12 @@ where
 
     // Spawn no more workers than there are chunks to run (the caller
     // drains queues too); surplus permits are returned by the guard.
-    let plan = plan(n, keys.as_deref(), chunk, guard.0 + 1);
+    let plan = plan(n, chunk, guard.0 + 1);
     let spawned = guard.0.min(plan.chunks.len().saturating_sub(1));
     let workers = spawned + 1;
 
     if metrics_on {
         sfq_obs::inc("par.regions");
-        if keys.is_some() {
-            sfq_obs::inc("par.keyed_regions");
-        }
         sfq_obs::gauge_set("par.threads", threads() as f64);
         sfq_obs::gauge_set("par.chunk_size", chunk as f64);
         sfq_obs::add("par.chunks", plan.chunks.len() as u64);
@@ -587,7 +513,7 @@ pub fn lane_groups(start: usize, end: usize, width: usize) -> Vec<std::ops::Rang
     groups
 }
 
-/// A task that panicked inside [`par_map_catch`].
+/// A task that panicked inside [`par_map_deadline`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskPanic {
     /// Index of the input item whose task panicked.
@@ -615,74 +541,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn catch_one<T, R, F>(items: &[T], i: usize, f: &F) -> Result<R, TaskPanic>
-where
-    F: Fn(&T) -> R,
-{
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Chaos harness (seed-gated, off = one relaxed load): the
-        // fault-tolerant paths deliberately inject panics and stalls
-        // so the recovery machinery is exercised on purpose. Forced
-        // timeouts only exist on the deadline path.
-        match sfq_guard::chaos::decide(i as u64, 0) {
-            Some(sfq_guard::chaos::ChaosAction::Panic) => {
-                sfq_guard::chaos::injected_panic(i as u64)
-            }
-            Some(sfq_guard::chaos::ChaosAction::Stall(d)) => std::thread::sleep(d),
-            _ => {}
-        }
-        f(&items[i])
-    }))
-    .map_err(|payload| {
-        sfq_obs::inc("par.task_panics");
-        sfq_obs::trace::instant("par", "task panic");
-        TaskPanic {
-            index: i,
-            message: panic_message(payload),
-        }
-    })
-}
-
-/// Like [`par_map`], but a panic in one task poisons only that item.
-///
-/// Each item runs under `catch_unwind` **individually** — chunking
-/// merges tasks for scheduling, never for failure isolation, so a
-/// panicking task yields `Err(TaskPanic)` in its own slot while every
-/// other item of the same chunk completes normally. This is the
-/// fan-out primitive for fault-injection sweeps and design-space
-/// exploration, where one broken probe must not take down the whole
-/// region. Determinism is inherited from [`par_map`]: results
-/// (including which items panic) depend only on the inputs, never on
-/// the schedule.
-///
-/// `f` is wrapped in `AssertUnwindSafe`: it must not leave shared
-/// state logically inconsistent when it panics (the workspace's probe
-/// caches guard their locks against poisoning, so they are safe).
-/// Panics are still reported through the process panic hook before
-/// being caught, so expect their messages on stderr unless a quiet
-/// hook is installed.
-pub fn par_map_catch<T, R, F>(items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let idx: Vec<usize> = (0..items.len()).collect();
-    par_map(&idx, |&i| catch_one(items, i, &f))
-}
-
-/// [`par_map_catch`] with [`par_map_keyed`]'s cache-affine scheduling.
-pub fn par_map_catch_keyed<T, R, F, K>(items: &[T], key: K, f: F) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    K: Fn(&T) -> u64,
-{
-    let idx: Vec<usize> = (0..items.len()).collect();
-    par_map_keyed(&idx, |&i| key(&items[i]), |&i| catch_one(items, i, &f))
-}
-
 /// Per-item terminal state of a [`par_map_deadline`] region. Every
 /// input item gets exactly one outcome — nothing is silently dropped.
 #[derive(Debug, Clone, PartialEq)]
@@ -696,34 +554,6 @@ pub enum TaskOutcome<R> {
     Cancelled,
     /// The task panicked; siblings were unaffected.
     Panicked(TaskPanic),
-}
-
-impl<R> TaskOutcome<R> {
-    /// True for [`TaskOutcome::Completed`].
-    #[must_use]
-    pub fn is_completed(&self) -> bool {
-        matches!(self, TaskOutcome::Completed(_))
-    }
-
-    /// The completed value, consuming the outcome.
-    #[must_use]
-    pub fn completed(self) -> Option<R> {
-        match self {
-            TaskOutcome::Completed(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Static label for reports and counters.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            TaskOutcome::Completed(_) => "completed",
-            TaskOutcome::TimedOut => "timed_out",
-            TaskOutcome::Cancelled => "cancelled",
-            TaskOutcome::Panicked(_) => "panicked",
-        }
-    }
 }
 
 fn deadline_one<T, R, F>(
@@ -751,15 +581,21 @@ where
         }
         None => {}
     }
+    // Chaos harness (seed-gated, off = one relaxed load): inject a
+    // forced timeout, a panic or a stall so the recovery paths are
+    // exercised on purpose.
     let chaos = sfq_guard::chaos::decide(i as u64, 0);
     if chaos == Some(sfq_guard::chaos::ChaosAction::Timeout) {
         sfq_obs::inc("guard.par.timed_out");
         return TaskOutcome::TimedOut;
     }
+    // A limited budget becomes the task's ambient guard, so transients
+    // it spawns observe the same deadline/cancel state. An unlimited
+    // one installs nothing: the task keeps the caller's ambient budget
+    // (which the pool re-installs in its workers).
+    let limited = (!budget.is_unlimited()).then_some(budget);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // The task runs under the region budget, so transients it
-        // spawns observe the same deadline/cancel state.
-        sfq_guard::scope(budget, || {
+        sfq_guard::scope_opt(limited, || {
             match chaos {
                 Some(sfq_guard::chaos::ChaosAction::Panic) => {
                     sfq_guard::chaos::injected_panic(i as u64)
@@ -783,17 +619,34 @@ where
     }
 }
 
-/// [`par_map_catch`] extended with an execution budget: the region
-/// stops dispatching new tasks once `budget`'s deadline passes or its
-/// cancel token fires, drains cleanly (in-flight tasks complete), and
-/// reports a terminal [`TaskOutcome`] for **every** item —
-/// `Completed`, `TimedOut`, `Cancelled` or `Panicked`. The budget is
-/// also installed as the ambient guard around each task, so solver
-/// runs inside observe the same deadline.
+/// [`par_map`] for tasks that may fail: every item gets a terminal
+/// [`TaskOutcome`] — `Completed`, `TimedOut`, `Cancelled` or
+/// `Panicked` — and nothing is silently dropped.
+///
+/// Each item runs under `catch_unwind` **individually** — chunking
+/// merges tasks for scheduling, never for failure isolation, so a
+/// panicking task yields `Panicked` in its own slot while every other
+/// item of the same chunk completes normally. This is the fan-out
+/// primitive for fault-injection sweeps and design-space exploration,
+/// where one broken probe must not take down the whole region.
+///
+/// The region stops dispatching new tasks once `budget`'s deadline
+/// passes or its cancel token fires, and drains cleanly (in-flight
+/// tasks complete). A limited budget is also installed as the ambient
+/// guard around each task, so solver runs inside observe the same
+/// deadline; an unlimited one leaves the caller's ambient budget in
+/// force.
 ///
 /// Determinism caveat: which items time out depends on wall-clock
 /// timing, inherently. With an unlimited budget (and chaos off) the
-/// outcomes are deterministic and equal to [`par_map_catch`]'s.
+/// outcomes depend only on the inputs, never on the schedule.
+///
+/// `f` is wrapped in `AssertUnwindSafe`: it must not leave shared
+/// state logically inconsistent when it panics (the workspace's memos
+/// recover their locks from poisoning, so they are safe). Panics are
+/// still reported through the process panic hook before being caught,
+/// so expect their messages on stderr unless a quiet hook is
+/// installed.
 pub fn par_map_deadline<T, R, F>(
     items: &[T],
     budget: &sfq_guard::RunBudget,
@@ -887,16 +740,6 @@ mod tests {
         assert_eq!(chunk_hint(), Some(17));
         std::env::remove_var("SUPERNPU_CHUNK");
 
-        // Keyed scheduling: same results for any key function.
-        let keyed = par_map_keyed(&items, |x| x % 3, f);
-        for (s, p) in serial.iter().zip(&keyed) {
-            assert_eq!(s.to_bits(), p.to_bits(), "keyed bit-identical");
-        }
-        let one_key = par_map_keyed(&items, |_| 7, f);
-        for (s, p) in serial.iter().zip(&one_key) {
-            assert_eq!(s.to_bits(), p.to_bits(), "degenerate key");
-        }
-
         // Nested calls degrade gracefully and stay correct.
         let outer: Vec<Vec<u64>> = par_map(&items[..16], |x| {
             let inner: Vec<u64> = (0..8).map(|k| x + k).collect();
@@ -927,18 +770,20 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {})); // keep test output quiet
         for chunk in [0usize, 1, 4, 32] {
             set_chunk(chunk);
-            let caught = par_map_catch(&items[..32], |x| {
+            let caught = par_map_deadline(&items[..32], &sfq_guard::RunBudget::unlimited(), |x| {
                 assert!(x % 5 != 3, "injected failure at {x}");
                 x * 10
             });
             assert_eq!(caught.len(), 32);
-            for (i, r) in caught.iter().enumerate() {
+            for (i, r) in caught.into_iter().enumerate() {
                 if i % 5 == 3 {
-                    let e = r.as_ref().unwrap_err();
+                    let TaskOutcome::Panicked(e) = r else {
+                        panic!("chunk={chunk}: task {i} must panic");
+                    };
                     assert_eq!(e.index, i, "chunk={chunk}");
                     assert!(e.message.contains("injected failure"), "{e}");
                 } else {
-                    assert_eq!(*r, Ok(items[i] * 10), "chunk={chunk}");
+                    assert_eq!(r, TaskOutcome::Completed(items[i] * 10), "chunk={chunk}");
                 }
             }
         }

@@ -29,6 +29,9 @@ fn items(n: usize) -> Vec<u64> {
 
 /// With an unlimited budget, `par_map_deadline` is `par_map` with
 /// labels: every task completes and the values match the plain path.
+/// The unlimited budget installs nothing, so every task, on the
+/// caller and on pool workers alike, still sees the caller's ambient
+/// budget.
 #[test]
 fn unlimited_deadline_dispatch_matches_par_map() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -41,6 +44,22 @@ fn unlimited_deadline_dispatch_matches_par_map() {
             TaskOutcome::Completed(v) => assert_eq!(v, p),
             other => panic!("expected Completed, got {other:?}"),
         }
+    }
+
+    let token = CancelToken::new();
+    token.cancel();
+    // Two threads and one-item chunks, so pool workers really run tasks.
+    sfq_par::set_threads(2);
+    sfq_par::set_chunk(1);
+    let seen = sfq_guard::scope(&RunBudget::unlimited().with_cancel(token), || {
+        par_map_deadline(&xs, &RunBudget::unlimited(), |_| {
+            sfq_guard::active().is_some_and(|b| b.is_cancelled())
+        })
+    });
+    sfq_par::clear_threads();
+    sfq_par::set_chunk(0);
+    for out in seen {
+        assert!(matches!(out, TaskOutcome::Completed(true)), "{out:?}");
     }
 }
 

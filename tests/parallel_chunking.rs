@@ -1,13 +1,14 @@
 //! Property tests of the granularity-aware scheduler in `sfq-par`:
-//! whatever the chunk size, thread count, or key function, `par_map`
-//! must return exactly what a serial loop returns — bit-for-bit — and
-//! `par_map_catch` must poison exactly the panicking items. The
+//! whatever the chunk size or thread count, `par_map` must return
+//! exactly what a serial loop returns — bit-for-bit — and
+//! `par_map_deadline` must poison exactly the panicking items. The
 //! scheduler is free to merge tasks into chunks, steal across
 //! workers, or fall back to serial; none of that may be observable in
 //! the output.
 
 use proptest::prelude::*;
-use sfq_par::{par_map, par_map_catch, par_map_keyed, set_chunk, set_threads};
+use sfq_guard::RunBudget;
+use sfq_par::{par_map, par_map_deadline, set_chunk, set_threads, TaskOutcome};
 
 /// Serialize the tests: they all reconfigure the process-global
 /// worker pool and chunk override (and one swaps the panic hook).
@@ -54,22 +55,14 @@ proptest! {
         set_chunk(chunk);
         let got: Vec<u64> = par_map(&items, |&x| crunch(x).to_bits());
         prop_assert_eq!(&got, &expected);
-
-        // Keyed scheduling only changes which worker runs a chunk,
-        // never the reassembled output — including the degenerate
-        // single-key grid where every task lands on one queue.
-        let keyed = par_map_keyed(&items, |&x| x % 3, |&x| crunch(x).to_bits());
-        prop_assert_eq!(&keyed, &expected);
-        let one_key = par_map_keyed(&items, |_| 7, |&x| crunch(x).to_bits());
-        prop_assert_eq!(&one_key, &expected);
     }
 
     /// Panic isolation composes with chunking: a chunk is a scheduling
     /// unit, not a failure domain. Exactly the injected items come
-    /// back as `Err`, carrying their own index, and every other item
-    /// in the same chunk still produces its serial value.
+    /// back as `Panicked`, carrying their own index, and every other
+    /// item in the same chunk still produces its serial value.
     #[test]
-    fn par_map_catch_poisons_only_the_panicking_tasks(
+    fn par_map_deadline_poisons_only_the_panicking_tasks(
         n in 0usize..200,
         modulus in 2u64..=9,
         residue in 0u64..9,
@@ -78,7 +71,7 @@ proptest! {
     ) {
         let _guard = GLOBAL.lock().unwrap();
         let _reset = PoolReset;
-        // Panics unwind through the hook before par_map_catch traps
+        // Panics unwind through the hook before par_map_deadline traps
         // them; a quiet hook keeps the injected ones off stderr.
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -86,7 +79,7 @@ proptest! {
         set_threads(threads);
         set_chunk(chunk);
         let items: Vec<u64> = (0..n as u64).collect();
-        let out = par_map_catch(&items, |&x| {
+        let out = par_map_deadline(&items, &RunBudget::unlimited(), |&x| {
             if x % modulus == residue {
                 panic!("injected {x}");
             }
@@ -99,11 +92,13 @@ proptest! {
         for (i, slot) in out.iter().enumerate() {
             let x = i as u64;
             if x % modulus == residue {
-                let err = slot.as_ref().expect_err("injected panic must surface");
+                let TaskOutcome::Panicked(err) = slot else {
+                    panic!("injected panic must surface, got {slot:?}");
+                };
                 prop_assert_eq!(err.index, i);
                 prop_assert_eq!(&err.message, &format!("injected {x}"));
             } else {
-                prop_assert_eq!(slot.as_ref().ok().copied(), Some(crunch(x).to_bits()));
+                prop_assert_eq!(slot, &TaskOutcome::Completed(crunch(x).to_bits()));
             }
         }
     }
