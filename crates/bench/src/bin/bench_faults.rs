@@ -11,9 +11,9 @@
 //! `faults.mc.*` metrics counters.
 //!
 //! After the curves, an interrupted-resume check emulates a mid-run
-//! kill by persisting only a prefix checkpoint and resuming from it;
-//! the resumed outcome vector must be bit-identical to an
-//! uninterrupted run.
+//! kill by cutting a real checkpoint back to the first half of its
+//! points and resuming from it; the resumed outcome vector must be
+//! bit-identical to an uninterrupted run.
 //!
 //! Knobs (all optional):
 //!
@@ -29,7 +29,7 @@
 //! `results/metrics.json`. Exits nonzero if the sweep dies or any
 //! invariant fails.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize as _;
 use serde_json::Value;
@@ -92,56 +92,42 @@ fn point_value(p: &YieldPoint) -> Value {
     ])
 }
 
-/// Interrupted-resume check: reference run, then a resume from a
-/// hand-persisted prefix checkpoint. Returns whether the resumed
-/// outcomes were bit-identical.
-fn resume_check(cell: Cell, sigma: f64, seed: u64, opts: &McOptions) -> bool {
+/// Keep the first half of a checkpoint's `points`, as a run killed
+/// mid-sweep leaves it.
+fn cut_to_first_half(path: &Path) -> Result<(), String> {
+    let mut cp: Value = sfq_guard::checkpoint::load_json(path)
+        .map_err(|e| e.to_string())?
+        .ok_or("no checkpoint written")?;
+    let Value::Object(fields) = &mut cp else {
+        return Err("checkpoint is not an object".into());
+    };
+    let Some((_, Value::Array(points))) = fields.iter_mut().find(|(k, _)| k == "points") else {
+        return Err("checkpoint has no points".into());
+    };
+    points.truncate(points.len() / 2);
+    sfq_guard::checkpoint::atomic_write_json(path, &cp).map_err(|e| e.to_string())
+}
+
+/// Interrupted-resume check: reference run, then a checkpointed run
+/// whose checkpoint is cut to its first half, then a resume from it.
+/// Returns whether the resumed outcomes were bit-identical.
+fn resume_check(cell: Cell, sigma: f64, seed: u64, opts: &McOptions) -> Result<bool, String> {
     let mut reference_opts = opts.clone();
     reference_opts.checkpoint_every = 0;
     reference_opts.checkpoint_path = None;
     reference_opts.resume = false;
-    let reference = match run_outcomes(cell, sigma, seed, &reference_opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("resume check reference run failed: {e}");
-            return false;
-        }
-    };
+    let reference = run_outcomes(cell, sigma, seed, &reference_opts).map_err(|e| e.to_string())?;
 
-    // Emulate a kill mid-run: persist only the first half of the
-    // outcomes in the checkpoint's JSON shape, then resume.
     let path = PathBuf::from("results/faults/resume_demo.checkpoint.json");
-    let prefix = &reference[..reference.len() / 2];
-    let prefix_json = match serde_json::to_string(&prefix.to_vec()) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("resume check prefix serialization failed: {e}");
-            return false;
-        }
-    };
-    let text = format!(
-        "{{\"cell\": \"{}\", \"sigma_bits\": {}, \"seed\": {seed}, \"samples\": {}, \
-         \"outcomes\": {prefix_json}}}",
-        cell.name(),
-        sigma.to_bits(),
-        opts.samples,
-    );
-    if let Err(e) = write_report(&path, &text) {
-        eprintln!("resume check could not persist prefix checkpoint: {e}");
-        return false;
-    }
-
-    let mut resume_opts = opts.clone();
-    resume_opts.checkpoint_every = opts.checkpoint_every.max(1);
-    resume_opts.checkpoint_path = Some(path);
-    resume_opts.resume = true;
-    match run_outcomes(cell, sigma, seed, &resume_opts) {
-        Ok(resumed) => resumed == reference,
-        Err(e) => {
-            eprintln!("resume check resumed run failed: {e}");
-            false
-        }
-    }
+    let mut checkpointed = opts.clone();
+    checkpointed.checkpoint_every = opts.checkpoint_every.max(1);
+    checkpointed.checkpoint_path = Some(path.clone());
+    checkpointed.resume = false;
+    run_outcomes(cell, sigma, seed, &checkpointed).map_err(|e| e.to_string())?;
+    cut_to_first_half(&path)?;
+    checkpointed.resume = true;
+    let resumed = run_outcomes(cell, sigma, seed, &checkpointed).map_err(|e| e.to_string())?;
+    Ok(resumed == reference)
 }
 
 fn main() {
@@ -222,7 +208,10 @@ fn main() {
         }
     }
 
-    let resume_identical = resume_check(Cell::Jtl, sigmas[1], seed, &opts);
+    let resume_identical = resume_check(Cell::Jtl, sigmas[1], seed, &opts).unwrap_or_else(|e| {
+        eprintln!("resume check failed: {e}");
+        false
+    });
     std::panic::set_hook(hook);
     println!(
         "interrupted-resume check: {}",

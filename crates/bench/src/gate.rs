@@ -418,30 +418,6 @@ fn compare_robust(base: &Value, fresh: &Value, tol: &Tolerances, report: &mut Ga
         });
     }
 
-    // Overhead section: guards-disabled parity (bit-identical values,
-    // within the producer's own overhead budget).
-    match get(fresh, "overhead") {
-        Some(ov) => {
-            report.check(
-                get(ov, "values_match").and_then(Value::as_bool) == Some(true),
-                || "robust overhead: unguarded resilient sweep diverged from plain sweep".into(),
-            );
-            report.check(
-                get(ov, "within_overhead").and_then(Value::as_bool) == Some(true),
-                || {
-                    format!(
-                        "robust overhead: guards-disabled overhead {:.1}% exceeds budget {:.0}%",
-                        num(ov, "overhead_frac").unwrap_or(f64::NAN) * 100.0,
-                        num(ov, "max_overhead_frac").unwrap_or(f64::NAN) * 100.0
-                    )
-                },
-            );
-        }
-        None => report.check(false, || {
-            "robust report: fresh report lacks an overhead section".into()
-        }),
-    }
-
     // Resume section: a killed-then-resumed sweep must reproduce the
     // uninterrupted run byte-for-byte.
     match get(fresh, "resume") {
@@ -865,11 +841,10 @@ mod tests {
         );
     }
 
-    fn robust(lost: u64, completed: u64, within: bool, values: bool, resume: bool) -> String {
+    fn robust(lost: u64, completed: u64, resume: bool) -> String {
         format!(
             r#"{{"robust":[{{"name":"fig20_unguarded","points":8,"completed":{completed},"degraded":0,"timed_out":0,"cancelled":0,"failed":{lost},"lost":{lost},"restored":0,"ms":12.0}}],
                "chaos_seed":2024,
-               "overhead":{{"plain_ms":12.0,"guarded_ms":12.2,"overhead_frac":0.016,"max_overhead_frac":0.02,"within_overhead":{within},"values_match":{values}}},
                "resume":{{"resume_identical":{resume},"restored":2}}}}"#
         )
     }
@@ -877,12 +852,12 @@ mod tests {
     #[test]
     fn robust_reports_are_gated() {
         let tol = Tolerances::default();
-        let good = robust(0, 8, true, true, true);
+        let good = robust(0, 8, true);
         let r = compare_json(&good, &good, &tol).unwrap();
         assert!(r.passed(), "{:?}", r.failures);
 
         // A silently lost point fails hard.
-        let r = compare_json(&good, &robust(1, 7, true, true, true), &tol).unwrap();
+        let r = compare_json(&good, &robust(1, 7, true), &tol).unwrap();
         assert!(!r.passed());
         assert!(
             r.failures.iter().any(|f| f.contains("silently lost")),
@@ -891,7 +866,7 @@ mod tests {
         );
 
         // State counts that fail to cover every point fail hard.
-        let r = compare_json(&good, &robust(0, 5, true, true, true), &tol).unwrap();
+        let r = compare_json(&good, &robust(0, 5, true), &tol).unwrap();
         assert!(!r.passed());
         assert!(
             r.failures.iter().any(|f| f.contains("do not cover")),
@@ -899,18 +874,8 @@ mod tests {
             r.failures
         );
 
-        // Overhead beyond the producer's budget, value divergence, and
-        // a non-identical resume each fail hard.
-        let r = compare_json(&good, &robust(0, 8, false, true, true), &tol).unwrap();
-        assert!(!r.passed());
-        assert!(
-            r.failures.iter().any(|f| f.contains("overhead")),
-            "{:?}",
-            r.failures
-        );
-        let r = compare_json(&good, &robust(0, 8, true, false, true), &tol).unwrap();
-        assert!(!r.passed());
-        let r = compare_json(&good, &robust(0, 8, true, true, false), &tol).unwrap();
+        // A non-identical resume fails hard.
+        let r = compare_json(&good, &robust(0, 8, false), &tol).unwrap();
         assert!(!r.passed());
         assert!(
             r.failures.iter().any(|f| f.contains("resume")),
@@ -918,13 +883,12 @@ mod tests {
             r.failures
         );
 
-        // Missing overhead/resume sections fail rather than pass
+        // A missing resume section fails rather than passes
         // vacuously; a baseline entry vanishing from the fresh report
         // fails.
         let bare = r#"{"robust":[{"name":"fig20_unguarded","points":8,"completed":8,"degraded":0,"timed_out":0,"cancelled":0,"failed":0,"lost":0,"restored":0,"ms":12.0}]}"#;
         let r = compare_json(&good, bare, &tol).unwrap();
         assert!(!r.passed());
-        assert!(r.failures.iter().any(|f| f.contains("overhead section")));
         assert!(r.failures.iter().any(|f| f.contains("resume section")));
         let renamed = good.replace("fig20_unguarded", "fig20_other");
         let r = compare_json(&good, &renamed, &tol).unwrap();

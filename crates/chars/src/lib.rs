@@ -348,17 +348,6 @@ pub struct GuardPolicy {
 }
 
 impl GuardPolicy {
-    /// Policy from the environment: `SUPERNPU_DEADLINE_MS` (per
-    /// attempt) and `SUPERNPU_RETRIES`.
-    #[must_use]
-    pub fn from_env() -> Self {
-        GuardPolicy {
-            attempt_timeout: sfq_guard::deadline_ms_env().map(Duration::from_millis),
-            retries: sfq_guard::retries_env(),
-            cancel: None,
-        }
-    }
-
     /// Builder: attach a cancel token.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {

@@ -4,48 +4,25 @@ use dnn_models::Network;
 use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 use sfq_estimator::{estimate, NpuConfig};
-use sfq_guard::RunBudget;
 use sfq_npu_sim::SimConfig;
-use sfq_par::{par_map_deadline, TaskOutcome};
+use sfq_par::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
 
 use crate::evaluator::{geomean, geomean_tmacs_over, paper_workloads};
-use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
 use crate::results::memoized;
 
 const MB: u64 = 1024 * 1024;
 
-/// Run a crash-isolated sweep: `point` fans out over `items` through
-/// [`par_map_deadline`] with no budget of its own, and a point that
-/// does not complete (a panic, or a chaos-forced timeout) is dropped
-/// and counted under `explore.points_lost` instead of taking the whole
-/// sweep down. Returns the surviving points and whether the sweep is
-/// complete (no point lost), which decides whether the result memo
-/// may keep it. Deterministic: which points survive depends only on
-/// the inputs, never on the schedule.
-fn collect_sweep<T: Sync, P: Send>(
-    sweep: &'static str,
-    items: &[T],
-    point: impl Fn(&T) -> P + Sync,
-) -> (Vec<P>, bool) {
-    let outcomes = par_map_deadline(items, &RunBudget::unlimited(), point);
-    let mut out = Vec::with_capacity(outcomes.len());
-    let mut complete = true;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let lost = match outcome {
-            TaskOutcome::Completed(p) => {
-                out.push(p);
-                continue;
-            }
-            TaskOutcome::Panicked(e) => e.to_string(),
-            TaskOutcome::TimedOut | TaskOutcome::Cancelled => format!("task {i} did not run"),
-        };
-        complete = false;
-        sfq_obs::inc("explore.points_lost");
-        sfq_obs::log(sfq_obs::Level::Warn, || {
-            format!("{sweep}: sweep point lost: {lost}")
-        });
+/// The values of an unguarded sweep and whether every point has one,
+/// which decides whether the result memo may keep them.
+fn complete_values<P>(report: Result<SweepReport<P>, SweepError>) -> (Vec<P>, bool) {
+    match report {
+        Ok(report) => {
+            let complete = report.points.iter().all(|p| p.value.is_some());
+            (report.values(), complete)
+        }
+        // Only a checkpoint can fail, and the plain sweeps write none.
+        Err(_) => (Vec::new(), false),
     }
-    (out, complete)
 }
 
 // ---------------------------------------------------------------- Fig 20
@@ -65,13 +42,12 @@ pub struct BufferSweepPoint {
     pub area: f64,
 }
 
-/// The division degrees swept by Fig. 20 (plus the implicit
+/// The division degrees swept by Fig. 20 (plus the constant
 /// division-1 Baseline bar).
 const FIG20_DIVISIONS: [u32; 7] = [2, 4, 16, 64, 256, 1024, 4096];
 
 /// Shared per-sweep context: immutable inputs plus the Baseline
-/// normalizers, built once and reused by every point (and by both
-/// the plain and the resilient sweep drivers).
+/// normalizers, built once and reused by every point.
 struct Fig20Ctx {
     lib: CellLibrary,
     nets: Vec<Network>,
@@ -135,27 +111,22 @@ impl Fig20Ctx {
 /// The buffer-optimization sweep (Fig. 20): buffer integration, then
 /// increasing division degrees, in performance (single and max batch)
 /// and area, all normalized to Baseline. Computed once per process
-/// (unless a point is lost).
+/// (unless a point ends without a value).
 pub fn fig20_buffer_sweep() -> Vec<BufferSweepPoint> {
     memoized("fig20_buffer_sweep", || {
-        let _sweep = sfq_obs::region("explore.fig20");
-        sfq_obs::log(sfq_obs::Level::Info, || {
-            "fig20: buffer-division sweep starting".into()
-        });
-        let ctx = Fig20Ctx::new();
         let (swept, complete) =
-            collect_sweep("fig20", &FIG20_DIVISIONS, |&division| ctx.point(division));
+            complete_values(fig20_buffer_sweep_resilient(&ResilientOpts::unguarded()));
         let mut points = vec![Fig20Ctx::baseline_point()];
         points.extend(swept);
         (points, complete)
     })
 }
 
-/// [`fig20_buffer_sweep`] under execution guards: deadline/cancel
-/// budget, retry-with-backoff, per-point terminal labels and
-/// checkpoint/resume, via [`crate::resilient::run_resilient`]. Point
-/// 0 is the Baseline bar; points 1..=7 are the division degrees. The
-/// fallback rung re-evaluates the point inline (the evaluation is
+/// The swept points of [`fig20_buffer_sweep`] (the division degrees,
+/// without the constant Baseline bar) under execution guards:
+/// deadline/cancel budget, retry-with-backoff, per-point terminal
+/// labels and checkpoint/resume, via [`run_resilient`]. The fallback
+/// rung re-evaluates the point inline (the evaluation is
 /// deterministic closed-form work, so an inline retry outside the
 /// parallel dispatch is the reliable bottom of the ladder).
 ///
@@ -166,21 +137,17 @@ pub fn fig20_buffer_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<BufferSweepPoint>, SweepError> {
     let _sweep = sfq_obs::region("explore.fig20");
+    sfq_obs::log(sfq_obs::Level::Info, || {
+        "fig20: buffer-division sweep starting".into()
+    });
     let ctx = Fig20Ctx::new();
-    let eval = |i: usize| {
-        if i == 0 {
-            Fig20Ctx::baseline_point()
-        } else {
-            ctx.point(FIG20_DIVISIONS[i - 1])
-        }
-    };
-    let mut ident: Vec<u64> = vec![FIG20_DIVISIONS.len() as u64 + 1];
-    ident.extend(FIG20_DIVISIONS.iter().map(|&d| u64::from(d)));
+    let eval = |i: usize| ctx.point(FIG20_DIVISIONS[i]);
+    let ident: Vec<u64> = FIG20_DIVISIONS.iter().map(|&d| u64::from(d)).collect();
     let eval = &eval;
     run_resilient(
         "fig20",
         sweep_identity(&ident),
-        FIG20_DIVISIONS.len() + 1,
+        FIG20_DIVISIONS.len(),
         opts,
         eval,
         Some(eval),
@@ -282,17 +249,10 @@ impl Fig21Ctx {
 /// The resource-balancing sweep (Fig. 21): shrink the PE-array width,
 /// reinvest the area into buffer capacity (the paper's capacity
 /// schedule), and measure max-batch performance and intensity.
-/// Computed once per process (unless a point is lost).
+/// Computed once per process (unless a point ends without a value).
 pub fn fig21_resource_sweep() -> Vec<ResourceSweepPoint> {
     memoized("fig21_resource_sweep", || {
-        let _sweep = sfq_obs::region("explore.fig21");
-        sfq_obs::log(sfq_obs::Level::Info, || {
-            "fig21: resource-balancing sweep starting".into()
-        });
-        let ctx = Fig21Ctx::new();
-        collect_sweep("fig21", &FIG21_SCHEDULE, |&(width, buffer_mb)| {
-            ctx.point(width, buffer_mb)
-        })
+        complete_values(fig21_resource_sweep_resilient(&ResilientOpts::unguarded()))
     })
 }
 
@@ -306,6 +266,9 @@ pub fn fig21_resource_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<ResourceSweepPoint>, SweepError> {
     let _sweep = sfq_obs::region("explore.fig21");
+    sfq_obs::log(sfq_obs::Level::Info, || {
+        "fig21: resource-balancing sweep starting".into()
+    });
     let ctx = Fig21Ctx::new();
     let eval = |i: usize| {
         let (width, buffer_mb) = FIG21_SCHEDULE[i];
@@ -394,7 +357,7 @@ impl Fig22Ctx {
 
 /// The per-PE register sweep (Fig. 22) at widths 64 and 128 with the
 /// Fig. 21 "added buffer" capacities. Computed once per process
-/// (unless a point is lost).
+/// (unless a point ends without a value).
 pub fn fig22_register_sweep() -> Vec<RegisterSweepPoint> {
     memoized("fig22_register_sweep", || {
         let _sweep = sfq_obs::region("explore.fig22");
@@ -402,9 +365,21 @@ pub fn fig22_register_sweep() -> Vec<RegisterSweepPoint> {
             "fig22: per-PE register sweep starting".into()
         });
         let ctx = Fig22Ctx::new();
-        collect_sweep("fig22", &fig22_grid(), |&(width, buffer_mb, regs)| {
+        let grid = fig22_grid();
+        let eval = |i: usize| {
+            let (width, buffer_mb, regs) = grid[i];
             ctx.point(width, buffer_mb, regs)
-        })
+        };
+        let eval = &eval;
+        // No checkpoint, so the identity (0) is never compared.
+        complete_values(run_resilient(
+            "fig22",
+            0,
+            grid.len(),
+            &ResilientOpts::unguarded(),
+            eval,
+            Some(eval),
+        ))
     })
 }
 

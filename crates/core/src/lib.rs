@@ -51,7 +51,6 @@ pub mod export;
 pub mod latency;
 pub mod pareto;
 pub mod report;
-pub mod resilient;
 mod results;
 pub mod sensitivity;
 pub mod summary;

@@ -12,11 +12,13 @@
 //!   [`sfq_npu_sim::PulseFaults`] plans for the cycle simulator
 //!   ([`draw_fault_plan`]), whose corrupted-MAC accounting degrades
 //!   gracefully instead of aborting.
-//! * **Harness layer** — a crash-isolated sweep engine: a panicking or
-//!   non-converging probe poisons only its own sample
-//!   (`sfq_par::par_map_deadline` + a bounded retry budget + the typed
-//!   `jjsim::SimError::NonConvergent`), with periodic checkpoints of
-//!   the completed prefix and bit-identical `--resume`.
+//! * **Harness layer** — the Monte-Carlo runs go through the
+//!   workspace's one sweep driver, `sfq_par::resilient::run_resilient`,
+//!   over lane groups of samples: a panicking or non-converging probe
+//!   poisons only its own sample (`sfq_par::par_map_deadline` + a
+//!   bounded retry budget + the typed `jjsim::SimError::NonConvergent`),
+//!   with periodic checkpoints of the completed prefix and
+//!   bit-identical `--resume`.
 //!
 //! The root determinism invariant: every random draw comes from a
 //! [`SplitMix64`] substream derived from `(seed, identity tags)`, so
@@ -167,13 +169,10 @@ mod tests {
         assert_eq!(full, reference);
         assert!(path.is_file(), "checkpoint persisted");
 
-        // Emulate a kill between chunks: persist only a 4-sample
-        // prefix, then resume. The resumed run must reconstruct the
-        // remaining samples bit-identically.
-        let prefix = Checkpointable {
-            outcomes: reference[..4].to_vec(),
-        };
-        prefix.write(&path, 9);
+        // Emulate a kill between chunks: keep only the first half of
+        // the persisted groups, then resume. The resumed run must
+        // reconstruct the remaining samples bit-identically.
+        cut_to_first_half(&path);
         opts.resume = true;
         let resumed = run_outcomes(Cell::Jtl, 0.12, 99, &opts).expect("resume ok");
         assert_eq!(resumed, reference, "resumed run must be bit-identical");
@@ -181,38 +180,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Test helper: write a prefix checkpoint through the public JSON
-    /// shape without exposing the internal struct.
-    struct Checkpointable {
-        outcomes: Vec<Outcome>,
-    }
-
-    impl Checkpointable {
-        fn write(&self, path: &std::path::Path, samples: u32) {
-            let names: Vec<String> = self
-                .outcomes
-                .iter()
-                .map(|o| {
-                    format!(
-                        "\"{}\"",
-                        match o {
-                            Outcome::Pass => "Pass",
-                            Outcome::Fail => "Fail",
-                            Outcome::NonConvergent => "NonConvergent",
-                            Outcome::Panicked => "Panicked",
-                        }
-                    )
-                })
-                .collect();
-            let text = format!(
-                "{{\"cell\": \"jtl\", \"sigma_bits\": {}, \"seed\": 99, \"samples\": {samples}, \
-                 \"outcomes\": [{}]}}",
-                (0.12f64).to_bits(),
-                names.join(", ")
-            );
-            std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
-            std::fs::write(path, text).expect("write checkpoint");
-        }
+    /// Test helper: truncate a real checkpoint's `points` to their
+    /// first half, as a run killed mid-sweep leaves it.
+    fn cut_to_first_half(path: &std::path::Path) {
+        let mut cp: serde::Value = sfq_guard::checkpoint::load_json(path)
+            .expect("checkpoint parses")
+            .expect("checkpoint exists");
+        let serde::Value::Object(fields) = &mut cp else {
+            panic!("checkpoint is not an object");
+        };
+        let Some((_, serde::Value::Array(points))) = fields.iter_mut().find(|(k, _)| k == "points")
+        else {
+            panic!("checkpoint has no points");
+        };
+        assert!(points.len() >= 2, "a half needs two points");
+        points.truncate(points.len() / 2);
+        sfq_guard::checkpoint::atomic_write_json(path, &cp).expect("write checkpoint");
     }
 
     #[test]
@@ -221,14 +204,11 @@ mod tests {
         let dir = std::env::temp_dir().join("sfq_faults_test_mismatch");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("c.json");
-        let prefix = Checkpointable {
-            outcomes: vec![Outcome::Pass],
-        };
-        prefix.write(&path, 9);
-
         let mut opts = McOptions::new(9);
         opts.checkpoint_every = 4;
         opts.checkpoint_path = Some(path.clone());
+        run_outcomes(Cell::Jtl, 0.12, 99, &opts).expect("harness ok");
+
         opts.resume = true;
         // Different seed → the persisted prefix must be rejected.
         let err = run_outcomes(Cell::Jtl, 0.12, 100, &opts).unwrap_err();

@@ -1,5 +1,6 @@
 //! Monte-Carlo yield estimation over perturbed stdlib cells, run
-//! through a crash-isolated, checkpointing harness.
+//! through the workspace's crash-isolated, checkpointing sweep driver
+//! (`sfq_par::resilient::run_resilient`).
 //!
 //! For a cell and a variation strength σ, the estimator draws `samples`
 //! independent perturbed parameter sets (one [`SplitMix64`] substream
@@ -17,19 +18,22 @@
 //! * A sample whose transient **errors** is retried up to
 //!   `McOptions::retries` extra times, then recorded as
 //!   [`Outcome::NonConvergent`].
-//! * With `checkpoint_every > 0` and a `checkpoint_path`, the completed
-//!   prefix of outcomes is persisted after each chunk; `resume` loads a
-//!   matching checkpoint and continues. Because outcomes are discrete
-//!   and every sample is a pure function of `(seed, cell, σ, index)`,
-//!   a resumed run is **bit-identical** to an uninterrupted one, at any
-//!   thread count.
+//! * The sweep's points are the lane groups of the run. With
+//!   `checkpoint_every > 0` and a `checkpoint_path`, the completed
+//!   prefix of groups is persisted every `checkpoint_every` samples
+//!   (rounded up to whole groups); `resume` loads a matching
+//!   checkpoint and continues. Because outcomes are discrete and every sample is a
+//!   pure function of `(seed, cell, σ, index)`, a resumed run is
+//!   **bit-identical** to an uninterrupted one, at any thread count.
+//!   A checkpoint resumes only at the lane width that wrote it.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use jjsim::stdlib::{clocked_and, dff, jtl_chain, AndParams, DffParams, JtlParams};
 use jjsim::{BatchedTransient, Circuit, ElementId, SimError, SimOptions, SimResult};
 use serde::{Deserialize, Serialize};
 use sfq_guard::RunBudget;
+use sfq_par::resilient::{run_resilient, sweep_identity, ResilientOpts};
 use sfq_par::TaskOutcome;
 
 use crate::rng::SplitMix64;
@@ -104,8 +108,8 @@ pub struct McOptions {
     pub samples: u32,
     /// Extra attempts after a sample's first erroring transient.
     pub retries: u32,
-    /// Persist the completed prefix every this many samples
-    /// (0 disables checkpointing).
+    /// Persist the completed prefix every this many samples, rounded
+    /// up to whole lane groups (0 disables checkpointing).
     pub checkpoint_every: u32,
     /// Where to persist / look for the checkpoint.
     pub checkpoint_path: Option<PathBuf>,
@@ -190,17 +194,6 @@ impl std::fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
-
-/// Persisted completed prefix of one (cell, σ, seed, samples) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Checkpoint {
-    cell: String,
-    /// `sigma.to_bits()` — exact, no float round-trip ambiguity.
-    sigma_bits: u64,
-    seed: u64,
-    samples: u32,
-    outcomes: Vec<Outcome>,
-}
 
 /// One perturbed parameter draw of a cell.
 #[derive(Debug, Clone, Copy)]
@@ -387,7 +380,7 @@ fn scalar_group(
     .collect()
 }
 
-/// One lane group of a Monte-Carlo chunk. Injected groups keep the
+/// One lane group of a Monte-Carlo run. Injected groups keep the
 /// per-sample path (injection exercises the per-sample harness, which
 /// is exactly what must stay observable). Clean groups run batched: a
 /// sample whose transient errored reruns alone through [`run_sample`],
@@ -427,63 +420,6 @@ fn run_group(cell: Cell, sigma: f64, seed: u64, idxs: &[usize], opts: &McOptions
     }
 }
 
-fn load_checkpoint(
-    path: &Path,
-    cell: Cell,
-    sigma: f64,
-    seed: u64,
-    samples: u32,
-) -> Result<Vec<Outcome>, FaultError> {
-    let checkpoint_err = |message: String| FaultError::Checkpoint {
-        path: path.to_path_buf(),
-        message,
-    };
-    // A missing checkpoint is a cold start, not an error.
-    let Some(cp) = sfq_guard::checkpoint::load_json::<Checkpoint>(path)
-        .map_err(|e| checkpoint_err(e.to_string()))?
-    else {
-        return Ok(Vec::new());
-    };
-    let matches = cp.cell == cell.name()
-        && cp.sigma_bits == sigma.to_bits()
-        && cp.seed == seed
-        && cp.samples == samples
-        && cp.outcomes.len() <= samples as usize;
-    if !matches {
-        return Err(checkpoint_err(
-            "checkpoint does not match this run's (cell, sigma, seed, samples)".into(),
-        ));
-    }
-    Ok(cp.outcomes)
-}
-
-fn write_checkpoint(
-    path: &Path,
-    cell: Cell,
-    sigma: f64,
-    seed: u64,
-    samples: u32,
-    outcomes: &[Outcome],
-) -> Result<(), FaultError> {
-    let cp = Checkpoint {
-        cell: cell.name().to_owned(),
-        sigma_bits: sigma.to_bits(),
-        seed,
-        samples,
-        outcomes: outcomes.to_vec(),
-    };
-    // Atomic persistence (temp sibling + fsync + rename): a crash
-    // mid-write can never leave a torn checkpoint where the old one
-    // stood — the file either still holds the previous prefix or
-    // already holds the new one, both resumable.
-    sfq_guard::checkpoint::atomic_write_json(path, &cp).map_err(|e| FaultError::Checkpoint {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    sfq_obs::inc("faults.mc.checkpoints");
-    Ok(())
-}
-
 /// Raw per-sample outcomes of one Monte-Carlo run (the basis of
 /// [`estimate_yield`]; exposed so tests and the interrupted-resume
 /// demo can compare runs sample-by-sample).
@@ -503,46 +439,58 @@ pub fn run_outcomes(
             what: "checkpoint_every > 0 requires checkpoint_path",
         });
     }
-    let n = opts.samples as usize;
-    let mut outcomes: Vec<Outcome> = match (&opts.checkpoint_path, opts.resume) {
-        (Some(p), true) => load_checkpoint(p, cell, sigma, seed, opts.samples)?,
-        _ => Vec::new(),
+    // Lane groups keyed on the *absolute* sample index, so a resumed
+    // run regroups exactly like an uninterrupted one. At width 1 every
+    // group is one sample.
+    let width = jjsim::batch_width();
+    let groups: Vec<Vec<usize>> = sfq_par::lane_groups(0, opts.samples as usize, width)
+        .into_iter()
+        .map(|r| r.collect())
+        .collect();
+    // No retries: a group that does not complete (a panic in its
+    // bookkeeping, or a chaos-forced timeout) is redone at once
+    // sample-by-sample with panic isolation.
+    let mut run = ResilientOpts {
+        retries: 0,
+        ..ResilientOpts::unguarded()
     };
-    outcomes.truncate(n);
+    if opts.checkpoint_every > 0 {
+        run = run.with_checkpoint(
+            opts.checkpoint_path.clone().unwrap_or_default(),
+            (opts.checkpoint_every as usize).div_ceil(width),
+            opts.resume,
+        );
+    }
+    let identity = sweep_identity(&[
+        cell.tag(),
+        sigma.to_bits(),
+        seed,
+        u64::from(opts.samples),
+        width as u64,
+    ]);
+    let report = run_resilient(
+        cell.name(),
+        identity,
+        groups.len(),
+        &run,
+        |g: usize| run_group(cell, sigma, seed, &groups[g], opts),
+        Some(|g: usize| scalar_group(cell, sigma, seed, &groups[g], opts)),
+    )
+    .map_err(|e| FaultError::Checkpoint {
+        path: run.checkpoint_path.clone().unwrap_or_default(),
+        message: e.to_string(),
+    })?;
 
-    let chunk = if opts.checkpoint_every == 0 {
-        n.max(1)
-    } else {
-        opts.checkpoint_every as usize
-    };
-
-    while outcomes.len() < n {
-        let start = outcomes.len();
-        let end = (start + chunk).min(n);
-        // Lane groups keyed on the *absolute* sample index, so a
-        // resumed run regroups exactly like an uninterrupted one. At
-        // width 1 every group is one sample.
-        let groups: Vec<Vec<usize>> = sfq_par::lane_groups(start, end, jjsim::batch_width())
-            .into_iter()
-            .map(|r| r.collect())
-            .collect();
-        let per_group = sfq_par::par_map_deadline(&groups, &RunBudget::unlimited(), |g| {
-            run_group(cell, sigma, seed, g, opts)
-        });
-        let results: Vec<Outcome> = groups
-            .iter()
-            .zip(per_group)
-            .flat_map(|(g, r)| match r {
-                TaskOutcome::Completed(outs) => outs,
-                // A panic in the group *bookkeeping* (the probes
-                // themselves are already contained) or a chaos-forced
-                // timeout: redo this group sample-by-sample with panic
-                // isolation.
-                _ => scalar_group(cell, sigma, seed, g, opts),
-            })
-            .collect();
-        for outcome in results {
-            if sfq_obs::enabled() {
+    let restored = report.restored;
+    let mut outcomes = Vec::with_capacity(opts.samples as usize);
+    for (g, point) in report.points.into_iter().enumerate() {
+        // Only a fallback that panicked itself leaves a group without
+        // a value.
+        let group = point
+            .value
+            .unwrap_or_else(|| vec![Outcome::Panicked; groups[g].len()]);
+        if g >= restored && sfq_obs::enabled() {
+            for outcome in &group {
                 sfq_obs::inc("faults.mc.samples");
                 sfq_obs::inc(match outcome {
                     Outcome::Pass => "faults.mc.pass",
@@ -551,13 +499,8 @@ pub fn run_outcomes(
                     Outcome::Panicked => "faults.mc.panicked",
                 });
             }
-            outcomes.push(outcome);
         }
-        if opts.checkpoint_every > 0 {
-            if let Some(p) = &opts.checkpoint_path {
-                write_checkpoint(p, cell, sigma, seed, opts.samples, &outcomes)?;
-            }
-        }
+        outcomes.extend(group);
     }
     Ok(outcomes)
 }

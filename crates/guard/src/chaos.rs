@@ -2,11 +2,11 @@
 //!
 //! When enabled (`SUPERNPU_CHAOS=<seed>` or [`set_chaos`]), the
 //! pool's *fault-tolerant* map (`par_map_deadline`, which every
-//! fallible fan-out uses: the explore sweeps, the Monte-Carlo yield
-//! runs and the resilient sweep runner) and the resilient runner's
-//! retry loop consult [`decide`] before running a task and
-//! deterministically inject one of three faults: a panic, a short
-//! stall, or a forced timeout. The decision is a pure hash of
+//! fallible fan-out uses, above all the resilient sweep runner behind
+//! the explore sweeps and the Monte-Carlo yield runs) and the
+//! resilient runner's retry loop consult [`decide`] before running a
+//! task and deterministically inject one of three faults: a panic, a
+//! short stall, or a forced timeout. The decision is a pure hash of
 //! `(seed, task, attempt)`, so a chaos run is reproducible and a
 //! retry of the same task sees an *independent* draw — exactly like a
 //! real transient fault.

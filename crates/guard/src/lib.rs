@@ -186,17 +186,6 @@ impl RunBudget {
         self
     }
 
-    /// Budget from the environment: `SUPERNPU_DEADLINE_MS` (if set and
-    /// non-zero) becomes a wall-clock deadline; everything else stays
-    /// unlimited.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match deadline_ms_env() {
-            Some(ms) => Self::unlimited().with_deadline(Duration::from_millis(ms)),
-            None => Self::unlimited(),
-        }
-    }
-
     /// True when no limit and no cancel token is set — polling can be
     /// skipped entirely.
     #[must_use]
@@ -378,33 +367,14 @@ pub fn with_relax<R>(level: u32, f: impl FnOnce() -> R) -> R {
 
 // ------------------------------------------------------ retry/backoff
 
-/// Default retry count when `SUPERNPU_RETRIES` is unset.
+/// Default serial retries for a sweep point that panicked or timed
+/// out before it degrades to its fallback.
 pub const DEFAULT_RETRIES: u32 = 2;
 
 /// Base delay of the exponential backoff ladder.
 const BACKOFF_BASE: Duration = Duration::from_millis(5);
 /// Backoff cap — retries are for transient contention, not long waits.
 const BACKOFF_CAP: Duration = Duration::from_millis(80);
-
-/// `SUPERNPU_DEADLINE_MS` as a deadline in milliseconds; unset,
-/// unparsable or `0` mean "no deadline".
-#[must_use]
-pub fn deadline_ms_env() -> Option<u64> {
-    std::env::var("SUPERNPU_DEADLINE_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-}
-
-/// `SUPERNPU_RETRIES` (how often a failed/timed-out point is retried
-/// before degrading), defaulting to [`DEFAULT_RETRIES`].
-#[must_use]
-pub fn retries_env() -> u32 {
-    std::env::var("SUPERNPU_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(DEFAULT_RETRIES)
-}
 
 /// Exponential backoff delay before retry `attempt` (1-based):
 /// `5ms · 2^(attempt-1)`, capped at 80ms.

@@ -903,6 +903,13 @@ pub fn dump_on_exit() -> DumpOnExit {
     DumpOnExit(())
 }
 
+/// Serializes the unit tests that reset or snapshot the process-global
+/// registry: `reset` would zero the trace test's always-on drop
+/// counter, and the trace test's events would land between the
+/// registry test's disabled-path snapshots.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,6 +919,7 @@ mod tests {
     /// parallel shuffle.
     #[test]
     fn registry_end_to_end() {
+        let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         reset();
 

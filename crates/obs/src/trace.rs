@@ -610,6 +610,7 @@ mod tests {
     /// process-global, so the pieces run in a fixed order.
     #[test]
     fn trace_end_to_end() {
+        let _lock = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Disabled: helpers are no-ops and register nothing.
         set_trace(None);
         complete("t", "never", 0.0, 1.0);

@@ -27,6 +27,14 @@
 //! [`TaskOutcome`], and a limited budget stops the region dispatching
 //! new tasks once its deadline passes or its cancel token fires.
 //!
+//! # Resilient sweeps
+//!
+//! [`resilient::run_resilient`] is the one sweep driver built on
+//! [`par_map_deadline`]: retry and fallback for every point that does
+//! not complete, a labeled terminal state per point, and atomic
+//! checkpoint/resume. The Fig. 20–22 sweeps and the Monte-Carlo yield
+//! runs go through it.
+//!
 //! A global permit pool caps the total number of live workers across
 //! nested calls: an outer sweep grabs the available permits and inner
 //! `par_map` calls (e.g. per-workload evaluation inside a sweep point)
@@ -39,6 +47,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod resilient;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

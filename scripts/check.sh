@@ -8,9 +8,10 @@ cd "$(dirname "$0")/.."
 # Opt-in extras: --bench reruns the solver/sweep benches in a scratch
 # directory and diffs them against the committed BENCH_*.json
 # baselines with bench_compare (fails on wall-clock or correctness
-# regression). --chaos runs the robustness smoke gate: the resilient
+# regression). --chaos runs the robustness smoke gates: the resilient
 # sweep runner under deterministic fault injection (zero lost points,
-# bit-identical kill/resume, guards-disabled overhead parity).
+# bit-identical kill/resume) and the Monte-Carlo yield harness
+# (injected failures tallied and visible, bit-identical resume).
 # --report runs the run-ledger smoke gate: two quick bin runs must
 # leave two well-formed manifests, one run_all run must leave exactly
 # one more (listing results/report.md), supernpu_report must aggregate
@@ -163,16 +164,22 @@ cargo clippy -p supernpu-bench --bins -- -D warnings -D clippy::unwrap_used -D c
 if [[ $RUN_CHAOS -eq 1 ]]; then
     echo "== chaos smoke gate (--chaos) =="
     # Shrunken robustness run: chaos-injected panics/timeouts/stalls
-    # must leave zero lost points, a cancelled sweep must resume
-    # bit-identically from its atomic checkpoint, and the unguarded
-    # resilient path must match the plain sweep. bench_robust itself
+    # must leave zero lost points (and the chaos seed must inject a
+    # panic and a timeout at all), and a cancelled sweep must resume
+    # bit-identically from its atomic checkpoint. bench_robust itself
     # exits nonzero on any violated invariant; the emitted report must
     # re-parse through the bench gate (a self-compare).
-    cargo build --release -p supernpu-bench --bin bench_robust --bin bench_compare
+    cargo build --release -p supernpu-bench \
+        --bin bench_robust --bin bench_compare --bin bench_faults
     repo="$(pwd)"
     (cd "$tmp" && "$repo/target/release/bench_robust" --smoke >/dev/null)
     target/release/bench_compare \
         --baseline "$tmp/BENCH_robust.json" --fresh "$tmp/BENCH_robust.json" >/dev/null
+    # Monte-Carlo yield curves under injected failures, at the default
+    # configuration: bench_faults exits nonzero on a tally that misses
+    # a sample, injected failures missing from the metrics, or a
+    # resume from a cut checkpoint that is not bit-identical.
+    (cd "$tmp" && "$repo/target/release/bench_faults" >/dev/null)
 fi
 
 if [[ $RUN_REPORT -eq 1 ]]; then
@@ -263,9 +270,8 @@ if [[ $RUN_BENCH -eq 1 ]]; then
     target/release/bench_compare \
         --baseline BENCH_batch.json --fresh "$tmp/BENCH_batch.json"
     # Full robustness run: bench_robust hard-fails internally on any
-    # lost point, non-identical resume, or guards-disabled overhead
-    # beyond budget; bench_compare re-checks against the committed
-    # baseline.
+    # lost point, a chaos seed that injects nothing, or a non-identical
+    # resume; bench_compare re-checks against the committed baseline.
     (cd "$tmp" && "$repo/target/release/bench_robust" >/dev/null)
     target/release/bench_compare \
         --baseline BENCH_robust.json --fresh "$tmp/BENCH_robust.json"

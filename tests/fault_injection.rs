@@ -119,9 +119,10 @@ fn injected_failures_are_contained() {
     }
 }
 
-/// Interrupted-sweep recovery: persist a prefix checkpoint (as an
-/// interrupted run would), resume, and require the full outcome
-/// vector to be bit-identical to an uninterrupted run.
+/// Interrupted-sweep recovery: cut a real checkpoint back to the
+/// first half of its points (as an interrupted checkpointed run leaves
+/// it), resume, and require the full outcome vector to be
+/// bit-identical to an uninterrupted run.
 #[test]
 fn interrupted_sweep_resumes_bit_identically() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -132,22 +133,23 @@ fn interrupted_sweep_resumes_bit_identically() {
     let (cell, sigma, seed) = (Cell::ClockedAnd, 0.1f64, 7u64);
     let reference = run_outcomes(cell, sigma, seed, &McOptions::new(8)).expect("harness ok");
 
-    // The checkpoint JSON shape is stable public behaviour: write the
-    // first 3 outcomes the way an interrupted checkpointed run leaves
-    // them on disk.
-    let prefix = serde_json::to_string(&reference[..3].to_vec()).expect("serialize prefix");
-    let text = format!(
-        "{{\"cell\": \"{}\", \"sigma_bits\": {}, \"seed\": {seed}, \"samples\": 8, \
-         \"outcomes\": {prefix}}}",
-        cell.name(),
-        sigma.to_bits(),
-    );
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    std::fs::write(&path, text).expect("write checkpoint");
-
     let mut opts = McOptions::new(8);
     opts.checkpoint_every = 2;
-    opts.checkpoint_path = Some(path);
+    opts.checkpoint_path = Some(path.clone());
+    run_outcomes(cell, sigma, seed, &opts).expect("checkpointed run ok");
+    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    let mut cp: serde::Value = serde_json::from_str(&text).expect("checkpoint parses");
+    let serde::Value::Object(fields) = &mut cp else {
+        panic!("checkpoint is not an object");
+    };
+    let Some((_, serde::Value::Array(points))) = fields.iter_mut().find(|(k, _)| k == "points")
+    else {
+        panic!("checkpoint has no points");
+    };
+    assert!(points.len() >= 2, "a half needs two points");
+    points.truncate(points.len() / 2);
+    std::fs::write(&path, serde_json::to_string(&cp).expect("serialize")).expect("write");
+
     opts.resume = true;
     let resumed = run_outcomes(cell, sigma, seed, &opts).expect("resume ok");
     assert_eq!(resumed, reference, "resume must not change any outcome");
@@ -188,10 +190,7 @@ fn torn_checkpoint_write_never_corrupts_resume() {
     // lingers.
     assert!(!tmp.exists(), "temp file must be consumed by the rename");
     let text = std::fs::read_to_string(&path).expect("final checkpoint readable");
-    assert!(
-        text.contains("\"outcomes\""),
-        "final checkpoint has outcomes"
-    );
+    assert!(text.contains("\"points\""), "final checkpoint has points");
     let resumed = run_outcomes(cell, sigma, seed, &opts).expect("resume from final checkpoint");
     assert_eq!(resumed, reference, "resume after atomic write is clean");
     let _ = std::fs::remove_dir_all(&dir);

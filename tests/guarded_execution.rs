@@ -14,8 +14,8 @@ use jjsim::{SimError, SimOptions, Solver};
 use proptest::prelude::*;
 use sfq_chars::{GuardPolicy, MeasureSource};
 use sfq_guard::{chaos, CancelToken, RunBudget};
+use sfq_par::resilient::{run_resilient, sweep_identity, ResilientOpts};
 use sfq_par::{par_map_deadline, TaskOutcome};
-use supernpu::resilient::{run_resilient, sweep_identity, ResilientOpts};
 
 /// Serialize tests that flip process-global state (the chaos harness,
 /// the panic hook, the worker pool).
@@ -258,26 +258,66 @@ fn chaos_sweep_loses_no_points() {
     assert_eq!(chaotic.values(), clean.values());
 }
 
-/// The result memo keeps only complete sweeps: a plain fig20 sweep
-/// that loses a point to chaos injection is returned short but not
-/// stored, so the next call, with chaos off, computes all eight points
-/// again, bit-identical to a cold serial run.
+/// A retried point runs under the caller's ambient budget, like the
+/// points of the first dispatch: an unlimited sweep budget installs
+/// nothing, on retry as on the first attempt.
+#[test]
+fn retried_point_keeps_the_callers_budget() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    // Seed 63 panics task 0 at attempt 0 only, so point 0 completes
+    // on its first retry.
+    chaos::set_chaos(Some(63));
+    let token = CancelToken::new();
+    token.cancel();
+    let eval = |_: usize| sfq_guard::active().is_some_and(|b| b.is_cancelled());
+    let report = sfq_guard::scope(&RunBudget::unlimited().with_cancel(token), || {
+        run_resilient(
+            "budget_t",
+            1,
+            4,
+            &ResilientOpts::unguarded(),
+            eval,
+            None::<fn(usize) -> bool>,
+        )
+    });
+    chaos::set_chaos(None);
+    std::panic::set_hook(hook);
+    let report = report.expect("no checkpoint, no error");
+    assert_eq!(report.state_counts(), (4, 0, 0, 0, 0));
+    assert_eq!(
+        report.values(),
+        vec![true; 4],
+        "every point sees the caller's budget"
+    );
+}
+
+/// A plain sweep no longer loses a point to chaos injection: the
+/// injected panic is retried, so the sweep is complete, the result
+/// memo keeps it, and it is bit-identical to a cold serial run.
 #[test]
 fn chaos_lost_sweep_point_is_not_memoized() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     // Seed 42 injects a panic into the last of fig20's seven swept
-    // division points (task 6, division 4096).
+    // division points (task 6, division 4096) at attempt 0 only.
     supernpu::clear_result_cache();
     chaos::set_chaos(Some(42));
     let chaotic = supernpu::explore::fig20_buffer_sweep();
     chaos::set_chaos(None);
     std::panic::set_hook(hook);
-    assert!(chaotic.len() < 8, "seed 42 must lose a fig20 point");
+    assert_eq!(chaotic.len(), 8, "seed 42 must not lose a fig20 point");
 
+    let hits = sfq_obs::counter("supernpu.results.cache_hit").get();
     let after = supernpu::explore::fig20_buffer_sweep();
-    assert_eq!(after.len(), 8, "the lossy sweep was memoized");
+    assert_eq!(
+        sfq_obs::counter("supernpu.results.cache_hit").get(),
+        hits + 1,
+        "the complete sweep was memoized"
+    );
+    assert_eq!(after, chaotic);
 
     supernpu::clear_result_cache();
     sfq_par::set_threads(1);
@@ -286,7 +326,7 @@ fn chaos_lost_sweep_point_is_not_memoized() {
     assert_eq!(
         serde_json::to_string(&after).expect("serialize"),
         serde_json::to_string(&serial).expect("serialize"),
-        "fig20 after chaos must match a cold serial run bit-for-bit"
+        "fig20 under chaos must match a cold serial run bit-for-bit"
     );
 }
 
@@ -408,7 +448,7 @@ fn fig20_resilient_matches_plain_and_survives_kill() {
     let guarded = supernpu::explore::fig20_buffer_sweep_resilient(&ResilientOpts::unguarded())
         .expect("resilient fig20");
     assert_eq!(guarded.lost(), 0);
-    assert_eq!(guarded.clone().values(), plain);
+    assert_eq!(guarded.clone().values(), plain[1..]);
 
     // Kill after the first chunk via a pre-cancelled-at-2 token, then
     // resume and require identity.
@@ -450,7 +490,7 @@ fn fig20_resilient_matches_plain_and_survives_kill() {
         supernpu::explore::fig20_buffer_sweep_resilient(&resume_opts).expect("resumed fig20");
     assert_eq!(
         serde_json::to_string(&resumed.values()).expect("serialize"),
-        serde_json::to_string(&plain).expect("serialize"),
+        serde_json::to_string(&plain[1..]).expect("serialize"),
         "resumed fig20 must reproduce the plain sweep bit-for-bit"
     );
     let _ = std::fs::remove_dir_all(&dir);
