@@ -29,11 +29,12 @@
 //! `results/metrics.json`. Exits nonzero if the sweep dies or any
 //! invariant fails.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use serde::Serialize as _;
 use serde_json::Value;
 use sfq_faults::{run_outcomes, yield_curve, Cell, Injection, McOptions, YieldPoint};
+use supernpu_bench::cut_to_first_half;
 use supernpu_bench::report::{die, write_report};
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -90,22 +91,6 @@ fn point_value(p: &YieldPoint) -> Value {
         ("panicked".into(), Value::U64(u64::from(p.panicked))),
         ("yield".into(), Value::F64(p.yield_fraction())),
     ])
-}
-
-/// Keep the first half of a checkpoint's `points`, as a run killed
-/// mid-sweep leaves it.
-fn cut_to_first_half(path: &Path) -> Result<(), String> {
-    let mut cp: Value = sfq_guard::checkpoint::load_json(path)
-        .map_err(|e| e.to_string())?
-        .ok_or("no checkpoint written")?;
-    let Value::Object(fields) = &mut cp else {
-        return Err("checkpoint is not an object".into());
-    };
-    let Some((_, Value::Array(points))) = fields.iter_mut().find(|(k, _)| k == "points") else {
-        return Err("checkpoint has no points".into());
-    };
-    points.truncate(points.len() / 2);
-    sfq_guard::checkpoint::atomic_write_json(path, &cp).map_err(|e| e.to_string())
 }
 
 /// Interrupted-resume check: reference run, then a checkpointed run

@@ -10,9 +10,12 @@
 //!    bench fails when its seed's first-attempt draws hold no panic or
 //!    no timeout for Fig. 20, or neither for Fig. 21, since such a run
 //!    would not exercise the recovery it checks.
-//! 2. **Bit-identical resume** — a sweep cancelled mid-flight leaves
-//!    an atomic checkpoint whose resumed continuation reproduces the
-//!    uninterrupted run's values byte-for-byte.
+//! 2. **Bit-identical resume** — a full checkpoint cut to its first
+//!    half, as a sweep killed mid-flight leaves it, is resumed once
+//!    under a cancelled token and then once clean. The bench fails
+//!    unless the cancelled resume cancels a point, the clean one
+//!    restores a point, and the clean one reproduces the uninterrupted
+//!    run's values byte-for-byte.
 //!
 //! The `fig20_unguarded` entry records the unguarded Fig. 20 sweep's
 //! state counts and wall clock, the time `bench_compare` trends.
@@ -24,7 +27,7 @@
 //! `--smoke` shrinks the run (single timing pass, Fig. 20 only) for
 //! the `scripts/check.sh --chaos` gate.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::Serialize;
 use serde_json::Value;
@@ -32,8 +35,8 @@ use sfq_guard::chaos::{self, ChaosAction};
 use sfq_guard::{CancelToken, RunBudget};
 use sfq_par::resilient::{ResilientOpts, SweepReport};
 use supernpu::explore::fig20_buffer_sweep_resilient;
-use supernpu_bench::clear_caches;
 use supernpu_bench::report::{die, to_json_pretty, write_report};
+use supernpu_bench::{clear_caches, cut_to_first_half};
 
 /// Seed for the chaos harness: deterministic, so the injected
 /// failures (and therefore the retry/degrade counters) are the same
@@ -190,9 +193,11 @@ fn main() {
     );
 
     // ------------------------------------------------- 2. resume
-    // Reference run (uninterrupted), a cancelled run that leaves an
-    // atomic checkpoint, and a resumed run that must reproduce the
-    // reference byte-for-byte.
+    // Reference run (uninterrupted); a full checkpoint cut to its
+    // first half, as a kill mid-sweep leaves it; a resume under a
+    // cancelled token, which restores the half and cancels the rest;
+    // and a clean resume that must reproduce the reference
+    // byte-for-byte.
     let dir = std::env::temp_dir().join("supernpu_bench_robust");
     let _ = std::fs::remove_dir_all(&dir);
     let ckpt = dir.join("fig20.ckpt.json");
@@ -201,27 +206,22 @@ fn main() {
     let reference = resilient_fig20(&ResilientOpts::unguarded());
     let reference_json = json_of("reference fig20", &reference.values());
 
+    clear_caches();
+    resilient_fig20(&ResilientOpts::unguarded().with_checkpoint(ckpt.clone(), 2, false));
+    cut_to_first_half(&ckpt).unwrap_or_else(|e| die(format!("cut fig20 checkpoint: {e}")));
+
     let token = CancelToken::new();
-    let killer = {
-        let token = token.clone();
-        // Fire mid-sweep: roughly half of one uninterrupted pass.
-        let delay = Duration::from_secs_f64((unguarded_ms / reps as f64 / 2.0 / 1e3).max(5e-4));
-        std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            token.cancel();
-        })
-    };
+    token.cancel();
     let killed_opts = ResilientOpts::unguarded()
         .with_budget(RunBudget::unlimited().with_cancel(token))
-        .with_checkpoint(ckpt.clone(), 2, false);
+        .with_checkpoint(ckpt.clone(), 2, true);
     clear_caches();
     let killed = resilient_fig20(&killed_opts);
-    killer
-        .join()
-        .unwrap_or_else(|_| die("cancel timer thread panicked"));
-    let (killed_done, killed_degraded, _, killed_cancelled, _) = killed.state_counts();
-
+    let (_, _, _, killed_cancelled, _) = killed.state_counts();
     entries.push(sweep_entry("fig20_killed", &killed, 0.0, &mut failures));
+    if killed_cancelled == 0 {
+        failures.push("fig20_killed: the cancelled resume cancelled no point".into());
+    }
 
     let resume_opts = ResilientOpts::unguarded().with_checkpoint(ckpt, 2, true);
     clear_caches();
@@ -235,15 +235,18 @@ fn main() {
         &mut failures,
     ));
     let restored = resumed.restored;
+    if restored == 0 {
+        failures.push("fig20_resumed: the resume restored no point".into());
+    }
     let resume_identical = json_of("resumed fig20", &resumed.values()) == reference_json;
     if !resume_identical {
         failures.push("resumed sweep diverged from the uninterrupted reference".into());
     }
     let _ = std::fs::remove_dir_all(&dir);
     println!(
-        "resume: kill left {}/{} durable points ({killed_cancelled} cancelled), \
-         resume restored {restored}, identical: {resume_identical}",
-        killed_done + killed_degraded,
+        "resume: cancelled resume restored {}/{} points ({killed_cancelled} cancelled), \
+         clean resume restored {restored}, identical: {resume_identical}",
+        killed.restored,
         killed.points.len()
     );
 

@@ -38,6 +38,33 @@ pub fn clear_caches() {
     sfq_chars::clear_measure_cache();
 }
 
+/// Keep the first half of a sweep checkpoint's `points`, as a sweep
+/// killed mid-flight leaves it: the robustness benches and tests
+/// resume from a real checkpoint cut this way.
+///
+/// # Errors
+///
+/// The checkpoint is missing, unreadable, not a sweep checkpoint, holds
+/// fewer than two points (its first half would keep nothing), or
+/// cannot be written back.
+pub fn cut_to_first_half(path: &std::path::Path) -> Result<(), String> {
+    use serde_json::Value;
+    let mut cp: Value = sfq_guard::checkpoint::load_json(path)
+        .map_err(|e| e.to_string())?
+        .ok_or("no checkpoint written")?;
+    let Value::Object(fields) = &mut cp else {
+        return Err("checkpoint is not an object".into());
+    };
+    let Some((_, Value::Array(points))) = fields.iter_mut().find(|(k, _)| k == "points") else {
+        return Err("checkpoint has no points".into());
+    };
+    if points.len() < 2 {
+        return Err(format!("a half needs two points, found {}", points.len()));
+    }
+    points.truncate(points.len() / 2);
+    sfq_guard::checkpoint::atomic_write_json(path, &cp).map_err(|e| e.to_string())
+}
+
 /// Write `results/metrics.json` from the live [`sfq_obs`] registry.
 /// No-op unless metrics are enabled (`SUPERNPU_METRICS=1`), so the
 /// experiment binaries can call this unconditionally at the end of

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use jjsim::extract::{
     and_clock_to_q, and_cycle_energy, dff_clock_to_q, dff_cycle_energy, jtl_characteristics,
@@ -32,7 +31,6 @@ use jjsim::extract::{
 use jjsim::stdlib::{AndParams, DffParams, JtlParams};
 use jjsim::SimError;
 use sfq_cells::{CellLibrary, DeviceParams, GateKind, GateParams};
-use sfq_guard::{CancelToken, RunBudget};
 use sfq_obs::Memo;
 
 /// Bias-network recharge energy per switched junction, attojoules
@@ -75,16 +73,12 @@ const SR_BISECT_HI_PS: f64 = 50.0;
 
 /// Bit-exact fingerprint of every input feeding the testbenches: the
 /// three cell parameter sets (as `f64::to_bits`) plus the testbench
-/// scalars plus the ambient solver-relaxation level (a relaxed retry
-/// solves with different adaptive bounds, so its results must never
-/// share a cache slot with nominal ones). Two keys are equal iff the
-/// transient runs would be bit-identical, so a cache hit can never
-/// change a result.
-type MeasureKey = [u64; 22];
+/// scalars. Two keys are equal iff the transient runs would be
+/// bit-identical, so a cache hit can never change a result.
+type MeasureKey = [u64; 21];
 
 fn measure_key(jtl: &JtlParams, dff: &DffParams, and: &AndParams) -> MeasureKey {
     [
-        u64::from(sfq_guard::relax_level()),
         jtl.ic.to_bits(),
         jtl.bias_frac.to_bits(),
         jtl.l.to_bits(),
@@ -294,204 +288,6 @@ pub fn characterize_with(
     and_p: &AndParams,
 ) -> Result<CellLibrary, SimError> {
     Ok(library_from(&measure_with(jtl_p, dff_p, and_p)?))
-}
-
-// ------------------------------------------------- guarded measurement
-
-/// How a [`measure_resilient`] result was obtained — the rung of the
-/// degradation ladder that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeasureSource {
-    /// First-attempt transient measurement under nominal solver
-    /// options — the golden path.
-    Transient,
-    /// The transient succeeded on retry number `.0` (1-based) with
-    /// relaxed adaptive bounds (`dt_min` tightened, `lte_tol`
-    /// loosened by 4^attempt).
-    Retried(u32),
-    /// Every transient attempt blew its budget; the reference
-    /// (closed-form) measurements were substituted. The point is
-    /// *degraded*, not lost.
-    Fallback,
-}
-
-/// A value labeled with the ladder rung that produced it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Guarded<T> {
-    /// The measurement or library.
-    pub value: T,
-    /// Which ladder rung produced it.
-    pub source: MeasureSource,
-}
-
-impl<T> Guarded<T> {
-    /// True when the value did not come from the nominal first
-    /// attempt (retried or fallback).
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.source != MeasureSource::Transient
-    }
-}
-
-/// Budget/retry policy for [`measure_resilient`].
-#[derive(Debug, Clone, Default)]
-pub struct GuardPolicy {
-    /// Wall-clock budget per attempt (`None` = no deadline). Retry
-    /// `k` gets `(k + 1) ×` this budget — later rungs are both
-    /// cheaper (relaxed bounds) and given more room.
-    pub attempt_timeout: Option<Duration>,
-    /// How many relaxed retries before degrading to the reference
-    /// measurements.
-    pub retries: u32,
-    /// Optional cooperative cancel shared with the caller's sweep.
-    pub cancel: Option<CancelToken>,
-}
-
-impl GuardPolicy {
-    /// Builder: attach a cancel token.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    fn attempt_budget(&self, attempt: u32, cancel: Option<&CancelToken>) -> RunBudget {
-        let mut b = RunBudget::unlimited();
-        if let Some(t) = self.attempt_timeout {
-            b = b.with_deadline(t.saturating_mul(attempt + 1));
-        }
-        if let Some(c) = cancel {
-            b = b.with_cancel(c.clone());
-        }
-        b
-    }
-}
-
-/// Reference measurements derived from the shipped
-/// [`CellLibrary::aist_10um`] rows by inverting [`library_from`]'s
-/// energy corrections and shift-register window formula — the bottom
-/// rung of the degradation ladder. `library_from(&reference_measurements())`
-/// reproduces the reference library's measured rows, so a degraded
-/// design point is evaluated closed-form on the shipped library
-/// instead of being dropped.
-#[must_use]
-pub fn reference_measurements() -> Measurements {
-    let reference = CellLibrary::aist_10um();
-    let jtl = reference.gate(GateKind::Jtl);
-    let split = reference.gate(GateKind::Splitter);
-    let dff = reference.gate(GateKind::Dff);
-    let and = reference.gate(GateKind::And);
-    let jtl_delay_ps = jtl.delay_ps;
-    let dff_delay_ps = dff.delay_ps;
-    // Invert the SR window relation used by `library_from`:
-    // window = 1000/sr_max − dff_delay − jtl_delay/2.
-    let sr_cct_ps = dff.setup_ps + dff.hold_ps + dff_delay_ps + 0.5 * jtl_delay_ps;
-    Measurements {
-        jtl_delay_ps,
-        jtl_energy_aj: (jtl.energy_aj / 2.0 - bias_recharge_aj(0.7e-4)).max(0.01),
-        splitter_delay_ps: split.delay_ps,
-        dff_delay_ps,
-        dff_energy_aj: (2.0 * dff.energy_aj - bias_recharge_aj(1.0e-4)).max(0.01),
-        and_delay_ps: and.delay_ps,
-        and_energy_aj: (and.energy_aj - bias_recharge_aj(1.5e-4)).max(0.01),
-        sr_max_ghz: 1000.0 / sr_cct_ps,
-    }
-}
-
-/// Budget-aware [`measure_with`]: the degradation ladder.
-///
-/// 1. **Transient** — nominal measurement under the policy's
-///    per-attempt deadline.
-/// 2. **Relaxed retries** — on a budget stop or convergence failure,
-///    retry under exponential backoff with the ambient relaxation
-///    level raised (the solver tightens `dt_min` and loosens
-///    `lte_tol` by 4^attempt; results cache under their own
-///    relax-fingerprinted keys, so nominal cache entries stay pure).
-/// 3. **Fallback** — after the last retry, substitute
-///    [`reference_measurements`] and label the point
-///    [`MeasureSource::Fallback`] rather than losing it.
-///
-/// Cache consistency under interruption is structural: every memo
-/// inserts only *complete* entries after a successful solve, so a
-/// deadline or cancellation mid-measure leaves the caches exactly as
-/// they were before the failed attempt.
-///
-/// # Errors
-///
-/// [`SimError::Cancelled`] propagates (the caller asked everything to
-/// stop — no retry, no fallback), as do structural errors
-/// ([`SimError::InvalidParameter`] and friends) that no retry can fix.
-pub fn measure_resilient(
-    jtl_p: &JtlParams,
-    dff_p: &DffParams,
-    and_p: &AndParams,
-    policy: &GuardPolicy,
-) -> Result<Guarded<Measurements>, SimError> {
-    // Inherit the sweep's cancel token when the policy has none: the
-    // attempt scope shadows any ambient budget, and a cancelled sweep
-    // must still cancel the measurement inside.
-    let ambient_cancel = sfq_guard::active().and_then(|b| b.cancel_token().cloned());
-    let cancel = policy.cancel.clone().or(ambient_cancel);
-    for attempt in 0..=policy.retries {
-        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Err(SimError::Cancelled { time: 0.0 });
-        }
-        let budget = policy.attempt_budget(attempt, cancel.as_ref());
-        let result = sfq_guard::scope(&budget, || {
-            sfq_guard::with_relax(attempt, || measure_with(jtl_p, dff_p, and_p))
-        });
-        match result {
-            Ok(m) => {
-                let source = if attempt == 0 {
-                    MeasureSource::Transient
-                } else {
-                    sfq_obs::inc("guard.measure.retried");
-                    MeasureSource::Retried(attempt)
-                };
-                return Ok(Guarded { value: m, source });
-            }
-            Err(e) if e.is_cancelled() => return Err(e),
-            Err(e)
-                if e.is_budget()
-                    || matches!(
-                        e,
-                        SimError::NoConvergence { .. }
-                            | SimError::SingularMatrix { .. }
-                            | SimError::NonConvergent { .. }
-                    ) =>
-            {
-                if attempt < policy.retries {
-                    sfq_guard::sleep_backoff(attempt + 1);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    sfq_obs::inc("guard.measure.degraded");
-    Ok(Guarded {
-        value: reference_measurements(),
-        source: MeasureSource::Fallback,
-    })
-}
-
-/// [`characterize_with`] through the [`measure_resilient`] ladder: a
-/// library is always produced (degraded to the reference rows at
-/// worst) unless the run is cancelled or structurally invalid.
-///
-/// # Errors
-///
-/// Same as [`measure_resilient`].
-pub fn characterize_resilient(
-    jtl_p: &JtlParams,
-    dff_p: &DffParams,
-    and_p: &AndParams,
-    policy: &GuardPolicy,
-) -> Result<Guarded<CellLibrary>, SimError> {
-    let m = measure_resilient(jtl_p, dff_p, and_p, policy)?;
-    Ok(Guarded {
-        value: library_from(&m.value),
-        source: m.source,
-    })
 }
 
 #[cfg(test)]

@@ -45,7 +45,6 @@ mod structure;
 pub mod units;
 
 pub use npu::{
-    clear_estimate_cache, estimate, estimate_uncached, estimate_with_budget, NpuConfig,
-    NpuEstimate, UnitBreakdown,
+    clear_estimate_cache, estimate, estimate_uncached, NpuConfig, NpuEstimate, UnitBreakdown,
 };
 pub use structure::{GateCounts, GatePair, UnitModel};

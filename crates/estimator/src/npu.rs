@@ -308,29 +308,6 @@ pub fn estimate(cfg: &NpuConfig, lib: &CellLibrary) -> NpuEstimate {
     est
 }
 
-/// Budget-aware [`estimate`]: refuses to start a new estimate once
-/// the budget is cancelled or past its deadline, and runs the model
-/// under the budget's ambient scope so nested guard queries observe
-/// it. The closed-form model itself is microseconds of work — this is
-/// the bottom rung of the degradation ladder, so the pre-flight check
-/// is the only gate it needs (a sweep that is out of time gets a
-/// typed stop instead of a silently-late point).
-///
-/// # Errors
-///
-/// The budget's terminal state when it is already exhausted:
-/// cancellation or a passed deadline.
-pub fn estimate_with_budget(
-    cfg: &NpuConfig,
-    lib: &CellLibrary,
-    budget: &sfq_guard::RunBudget,
-) -> Result<NpuEstimate, sfq_guard::BudgetStop> {
-    if let Some(stop) = budget.check_now() {
-        return Err(stop);
-    }
-    Ok(sfq_guard::scope(budget, || estimate(cfg, lib)))
-}
-
 /// [`estimate`] without the process-wide memo: every call pays the
 /// full three-layer model. Stress harnesses that hammer millions of
 /// synthetic design points use this to keep the cache's linear scans

@@ -15,10 +15,12 @@
 //! * **Harness layer** — the Monte-Carlo runs go through the
 //!   workspace's one sweep driver, `sfq_par::resilient::run_resilient`,
 //!   over lane groups of samples: a panicking or non-converging probe
-//!   poisons only its own sample (`sfq_par::par_map_deadline` + a
+//!   poisons only its own sample (a per-sample `catch_unwind` + a
 //!   bounded retry budget + the typed `jjsim::SimError::NonConvergent`),
 //!   with periodic checkpoints of the completed prefix and
-//!   bit-identical `--resume`.
+//!   bit-identical `--resume`. Chaos injection reaches only a group's
+//!   first dispatch; the per-sample fallback that redoes it is
+//!   chaos-free, so chaos never changes an outcome.
 //!
 //! The root determinism invariant: every random draw comes from a
 //! [`SplitMix64`] substream derived from `(seed, identity tags)`, so

@@ -13,7 +13,7 @@
 //! ## Robustness contract
 //!
 //! * A sample that **panics** (whether injected via [`Injection`] or a
-//!   genuine solver bug) is caught by `sfq_par::par_map_deadline` and
+//!   genuine solver bug) is caught by its own `catch_unwind` and
 //!   recorded as [`Outcome::Panicked`] — it poisons only itself.
 //! * A sample whose transient **errors** is retried up to
 //!   `McOptions::retries` extra times, then recorded as
@@ -26,15 +26,17 @@
 //!   pure function of `(seed, cell, σ, index)`, a resumed run is
 //!   **bit-identical** to an uninterrupted one, at any thread count.
 //!   A checkpoint resumes only at the lane width that wrote it.
+//! * Under the chaos harness (`SUPERNPU_CHAOS`), injected faults hit
+//!   a lane group's first dispatch only. A group that does not
+//!   complete is redone by the chaos-free per-sample fallback, so
+//!   chaos never changes an outcome.
 
 use std::path::PathBuf;
 
 use jjsim::stdlib::{clocked_and, dff, jtl_chain, AndParams, DffParams, JtlParams};
 use jjsim::{BatchedTransient, Circuit, ElementId, SimError, SimOptions, SimResult};
 use serde::{Deserialize, Serialize};
-use sfq_guard::RunBudget;
 use sfq_par::resilient::{run_resilient, sweep_identity, ResilientOpts};
-use sfq_par::TaskOutcome;
 
 use crate::rng::SplitMix64;
 use crate::variation::{perturb_and, perturb_dff, perturb_jtl, Variation};
@@ -333,7 +335,7 @@ fn pass_or_fail(pass: bool) -> Outcome {
 }
 
 /// Run one sample alone to a verdict (everything but panic isolation,
-/// which the caller's `par_map_deadline` provides).
+/// which [`scalar_group`] provides).
 fn run_sample(cell: Cell, sigma: f64, seed: u64, idx: usize, opts: &McOptions) -> Outcome {
     if opts.injection.panic_at.contains(&idx) {
         panic!("injected fault: sample {idx} of {} probe", cell.name());
@@ -367,17 +369,12 @@ fn scalar_group(
     idxs: &[usize],
     opts: &McOptions,
 ) -> Vec<Outcome> {
-    sfq_par::par_map_deadline(idxs, &RunBudget::unlimited(), |&i| {
-        run_sample(cell, sigma, seed, i, opts)
+    sfq_par::par_map(idxs, |&i| {
+        std::panic::catch_unwind(|| run_sample(cell, sigma, seed, i, opts)).unwrap_or_else(|_| {
+            sfq_obs::inc("par.task_panics");
+            Outcome::Panicked
+        })
     })
-    .into_iter()
-    .map(|r| match r {
-        TaskOutcome::Completed(o) => o,
-        TaskOutcome::Panicked(_) => Outcome::Panicked,
-        // Skipped before it ran (a chaos-forced timeout): no verdict.
-        TaskOutcome::TimedOut | TaskOutcome::Cancelled => Outcome::NonConvergent,
-    })
-    .collect()
 }
 
 /// One lane group of a Monte-Carlo run. Injected groups keep the

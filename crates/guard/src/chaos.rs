@@ -1,19 +1,19 @@
-//! Seeded chaos injection for the worker pool.
+//! Seeded chaos injection for the sweep driver.
 //!
-//! When enabled (`SUPERNPU_CHAOS=<seed>` or [`set_chaos`]), the
-//! pool's *fault-tolerant* map (`par_map_deadline`, which every
-//! fallible fan-out uses, above all the resilient sweep runner behind
-//! the explore sweeps and the Monte-Carlo yield runs) and the
-//! resilient runner's retry loop consult [`decide`] before running a
-//! task and deterministically inject one of three faults: a panic, a
+//! When enabled (`SUPERNPU_CHAOS=<seed>` or [`set_chaos`]), every
+//! guarded attempt of `sfq_par::resilient::run_resilient` (the driver
+//! behind the explore sweeps and the Monte-Carlo yield runs) consults
+//! [`decide`] with the point's sweep index and the attempt number,
+//! and deterministically injects one of three faults: a panic, a
 //! short stall, or a forced timeout. The decision is a pure hash of
-//! `(seed, task, attempt)`, so a chaos run is reproducible and a
-//! retry of the same task sees an *independent* draw — exactly like a
-//! real transient fault.
+//! `(seed, task, attempt)`, so a chaos run is reproducible whatever
+//! the checkpoint chunking, and a retry of the same point sees an
+//! *independent* draw — exactly like a real transient fault.
 //!
-//! Plain `par_map` is untouched: its contract is that tasks do not
-//! fail, and injecting faults there would crash the caller rather
-//! than exercise recovery.
+//! Plain `par_map` and a sweep's fallback are untouched: their
+//! contract is that tasks do not fail, and injecting faults there
+//! would crash the caller or change a result rather than exercise
+//! recovery.
 //!
 //! Disabled cost: one relaxed atomic load per query, the same
 //! fast-path discipline as `sfq-obs`.

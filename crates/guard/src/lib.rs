@@ -13,9 +13,9 @@
 //!   reaches every transient the sweep spawns without threading a
 //!   parameter through ten signatures.
 //! * [`chaos`] — seeded, deterministic fault injection (panics,
-//!   stalls, forced timeouts) for the pool's catch/deadline paths, so
-//!   the recovery machinery is exercised on purpose instead of only
-//!   in production.
+//!   stalls, forced timeouts) into the sweep driver's guarded
+//!   attempts, so the recovery machinery is exercised on purpose
+//!   instead of only in production.
 //! * [`checkpoint`] — crash-safe atomic file persistence (temp file in
 //!   the same directory → fsync → rename) generalized out of the
 //!   `sfq-faults` Monte-Carlo so any sweep can be killed and resumed
@@ -268,16 +268,11 @@ impl RunBudget {
 static GUARD_USED: AtomicU8 = AtomicU8::new(0);
 
 thread_local! {
-    static AMBIENT: RefCell<Ambient> = const { RefCell::new(Ambient { budgets: Vec::new(), relax: 0 }) };
-}
-
-struct Ambient {
-    budgets: Vec<RunBudget>,
-    relax: u32,
+    static AMBIENT: RefCell<Vec<RunBudget>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Has any guard scope ever been entered in this process? One relaxed
-/// load; `false` means [`active`] and [`relax_level`] are no-ops.
+/// load; `false` means [`active`] is a no-op.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
@@ -293,20 +288,7 @@ pub fn active() -> Option<RunBudget> {
     if !enabled() {
         return None;
     }
-    AMBIENT.with(|a| a.borrow().budgets.last().cloned())
-}
-
-/// The ambient solver-relaxation level (0 = nominal options). Raised
-/// by [`with_relax`] around retry attempts so the solver loosens its
-/// adaptive bounds without an options parameter threaded through every
-/// characterization call.
-#[inline]
-#[must_use]
-pub fn relax_level() -> u32 {
-    if !enabled() {
-        return 0;
-    }
-    AMBIENT.with(|a| a.borrow().relax)
+    AMBIENT.with(|a| a.borrow().last().cloned())
 }
 
 struct ScopeGuard;
@@ -314,18 +296,8 @@ struct ScopeGuard;
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         AMBIENT.with(|a| {
-            a.borrow_mut().budgets.pop();
+            a.borrow_mut().pop();
         });
-    }
-}
-
-struct RelaxGuard {
-    prev: u32,
-}
-
-impl Drop for RelaxGuard {
-    fn drop(&mut self) {
-        AMBIENT.with(|a| a.borrow_mut().relax = self.prev);
     }
 }
 
@@ -334,7 +306,7 @@ impl Drop for RelaxGuard {
 /// restored on exit (including on panic).
 pub fn scope<R>(budget: &RunBudget, f: impl FnOnce() -> R) -> R {
     GUARD_USED.store(1, Ordering::Relaxed);
-    AMBIENT.with(|a| a.borrow_mut().budgets.push(budget.clone()));
+    AMBIENT.with(|a| a.borrow_mut().push(budget.clone()));
     let _g = ScopeGuard;
     f()
 }
@@ -347,22 +319,6 @@ pub fn scope_opt<R>(budget: Option<&RunBudget>, f: impl FnOnce() -> R) -> R {
         Some(b) => scope(b, f),
         None => f(),
     }
-}
-
-/// Run `f` with the ambient solver-relaxation level set to `level`
-/// (restored on exit, including on panic). Level `k` asks the solver
-/// to tighten `dt_min` and loosen `lte_tol` by `4^k` — the retry
-/// ladder's "try again, but make convergence easier" knob.
-pub fn with_relax<R>(level: u32, f: impl FnOnce() -> R) -> R {
-    GUARD_USED.store(1, Ordering::Relaxed);
-    let prev = AMBIENT.with(|a| {
-        let mut a = a.borrow_mut();
-        let prev = a.relax;
-        a.relax = level;
-        prev
-    });
-    let _g = RelaxGuard { prev };
-    f()
 }
 
 // ------------------------------------------------------ retry/backoff
@@ -470,17 +426,6 @@ mod tests {
         let r = std::panic::catch_unwind(|| scope(&b, || panic!("boom")));
         assert!(r.is_err());
         assert!(active().is_none());
-    }
-
-    #[test]
-    fn relax_level_nests_and_restores() {
-        assert_eq!(relax_level(), 0);
-        let inner = with_relax(1, || {
-            let nested = with_relax(2, relax_level);
-            (relax_level(), nested)
-        });
-        assert_eq!(inner, (1, 2));
-        assert_eq!(relax_level(), 0);
     }
 
     #[test]

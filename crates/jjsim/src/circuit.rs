@@ -265,8 +265,8 @@ impl Circuit {
     /// element family's length followed by every element's terminals
     /// and value bits (`JjParams` for junctions), then every source's
     /// terminals and waveform parameters. Two circuits with equal
-    /// fingerprints solve bit-identically under the same options,
-    /// horizon and relaxation level.
+    /// fingerprints solve bit-identically under the same options and
+    /// horizon.
     pub(crate) fn fingerprint(&self) -> Vec<u64> {
         let mut fp = vec![self.node_count as u64, self.jjs.len() as u64];
         for j in &self.jjs {

@@ -615,7 +615,7 @@ pub(crate) fn run<const N: usize, P: Policy<N>>(
     let lane_ckt = |l: usize| &ckts[l.min(k - 1)];
 
     let h = opts.dt;
-    let (adaptive, mut dt_min, dt_max, mut lte_tol) = match opts.step {
+    let (adaptive, dt_min, dt_max, lte_tol) = match opts.step {
         StepControl::Fixed => (false, h, h, f64::INFINITY),
         StepControl::Adaptive {
             dt_min,
@@ -624,19 +624,8 @@ pub(crate) fn run<const N: usize, P: Policy<N>>(
         } => (true, dt_min, dt_max, lte_tol),
     };
     // Ambient execution guard (one relaxed load when never used): an
-    // optional budget polled once per step attempt, and a relaxation
-    // level set by retry ladders — level k tightens `dt_min` and
-    // loosens `lte_tol` by 4^k so a run that blew its budget converges
-    // faster (and more robustly) on the retry.
+    // optional budget polled once per step attempt.
     let budget = sfq_guard::active().filter(|b| !b.is_unlimited());
-    if adaptive {
-        let relax = sfq_guard::relax_level().min(4);
-        if relax > 0 {
-            let scale = 4f64.powi(relax as i32);
-            dt_min /= scale;
-            lte_tol *= scale;
-        }
-    }
     // Fixed-mode step count; also the trace capacity hint.
     let fixed_steps = (t_end / h).ceil() as usize;
     let steps_hint = if adaptive {

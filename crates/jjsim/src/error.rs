@@ -39,8 +39,8 @@ pub enum SimError {
     },
     /// The run's execution budget (wall-clock deadline or step/Newton
     /// cap from an ambient [`sfq_guard::RunBudget`]) ran out before
-    /// `t_end`. Retryable: a relaxed retry or the closed-form
-    /// estimator can stand in for the lost transient.
+    /// `t_end`. Retryable: a sweep's retry or fallback can stand in
+    /// for the lost transient.
     BudgetExceeded {
         /// Which limit tripped (`deadline`, `step_budget`,
         /// `newton_budget`).
@@ -57,9 +57,8 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// True for budget stops that a retry (with relaxed solver
-    /// settings) or a degraded closed-form fallback may recover from.
-    /// Cancellation is *not* retryable — it propagates.
+    /// True for budget stops that a retry or a sweep's fallback may
+    /// recover from. Cancellation is *not* retryable — it propagates.
     #[must_use]
     pub fn is_budget(&self) -> bool {
         matches!(self, SimError::BudgetExceeded { .. })

@@ -22,10 +22,8 @@ pub struct Extraction {
 // ------------------------------------------------------ testbench memo
 
 /// Bit-exact key of one testbench transient: the circuit's
-/// fingerprint, then the horizon's bits and the ambient solver
-/// relaxation level (a relaxed retry solves with different adaptive
-/// bounds). The solver options are always [`SimOptions::adaptive`], so
-/// they need no slot.
+/// fingerprint, then the horizon's bits. The solver options are always
+/// [`SimOptions::adaptive`], so they need no slot.
 type RunKey = Vec<u64>;
 
 /// Process-wide memo of completed scalar testbench transients. Fig.
@@ -54,7 +52,7 @@ pub fn clear_extract_cache() {
 /// through here.
 pub(crate) fn run(c: crate::Circuit, t_end: f64) -> Result<SimResult, SimError> {
     let mut key = c.fingerprint();
-    key.extend([t_end.to_bits(), u64::from(sfq_guard::relax_level())]);
+    key.push(t_end.to_bits());
     if let Some(out) = TRANSIENTS.get(&key) {
         return Ok(out);
     }

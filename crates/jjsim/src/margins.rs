@@ -8,8 +8,7 @@
 //!
 //! The cell searches below solve every probe through the
 //! [`crate::extract`] transient memo, keyed on the exact circuit and
-//! the ambient relaxation level, so repeating a search at the same
-//! level runs no transient.
+//! horizon, so repeating a search runs no transient.
 
 use crate::extract::run;
 use crate::SimError;

@@ -1,7 +1,7 @@
 //! The `jjsim::extract` testbench memo: every scalar extraction, every
 //! `max_shift_frequency` bisection trial and every margin probe solves
 //! through one process-wide memo keyed on a bit-exact circuit
-//! fingerprint, the horizon and the ambient relaxation level. A hit
+//! fingerprint and the horizon. A hit
 //! must be bit-identical to a rerun and run no transient; anything
 //! that could change the solve must miss; a failed run must never be
 //! stored.
@@ -94,20 +94,6 @@ fn testbench_transients_are_memoized() {
     let (_, n) = runs_during(|| dff_clock_to_q(&dff_ulp).expect("DFF releases"));
     assert_eq!(n, 1, "a one-ULP parameter change must miss");
 
-    // A relaxed retry solves with other adaptive bounds: its own slot,
-    // leaving the nominal entry untouched.
-    let (_, n) = runs_during(|| {
-        sfq_guard::with_relax(1, || dff_clock_to_q(&dff)).expect("relaxed DFF releases")
-    });
-    assert_eq!(n, 1, "a relaxed solve must miss the nominal entry");
-    let (nominal, n) = runs_during(|| dff_clock_to_q(&dff).expect("DFF releases"));
-    assert_eq!(n, 0);
-    assert_eq!(
-        nominal.to_bits(),
-        first[3],
-        "relaxed run leaked into nominal slot"
-    );
-
     // A run stopped by a cancelled budget is not stored: the next plain
     // call solves for real and succeeds.
     let jtl_fresh = JtlParams {
@@ -125,42 +111,17 @@ fn testbench_transients_are_memoized() {
     assert!(ok.is_ok(), "plain run after a cancelled one failed: {ok:?}");
     assert_eq!(n, 1, "a cancelled run must not be memoized");
 
-    // Margin searches probe through the memo too, so a search under a
-    // relaxed solver must not read the nominal search's probes: it
-    // runs its own transients, and a repeat at that level runs none.
-    let (jtl_nominal, _) = runs_during(|| jtl_bias_margin().expect("JTL margin converges"));
-    let (dff_nominal, _) = runs_during(|| dff_bias_margin().expect("DFF margin converges"));
-    let relaxed = |search: fn() -> Result<Margin, SimError>| {
-        runs_during(|| sfq_guard::with_relax(2, search).expect("relaxed margin converges"))
-    };
+    // Margin searches probe through the memo too: a repeated search
+    // runs no transient and finds the same margin.
     for (cell, search) in [
-        ("JTL", jtl_bias_margin as fn() -> _),
+        ("JTL", jtl_bias_margin as fn() -> Result<Margin, SimError>),
         ("DFF", dff_bias_margin),
     ] {
-        let (first, n) = relaxed(search);
-        assert!(
-            n > 0,
-            "relaxed {cell} margin search read the nominal probes"
-        );
-        let (again, n) = relaxed(search);
-        assert_eq!(
-            n, 0,
-            "repeated relaxed {cell} margin search re-ran transients"
-        );
+        let (first, _) = runs_during(|| search().expect("margin converges"));
+        let (again, n) = runs_during(|| search().expect("margin converges"));
+        assert_eq!(n, 0, "repeated {cell} margin search re-ran transients");
         assert_eq!(again, first);
     }
-    let (jtl_again, n) = runs_during(|| jtl_bias_margin().expect("JTL margin converges"));
-    assert_eq!(
-        (jtl_again, n),
-        (jtl_nominal, 0),
-        "relaxed probes leaked into nominal slots"
-    );
-    let (dff_again, n) = runs_during(|| dff_bias_margin().expect("DFF margin converges"));
-    assert_eq!(
-        (dff_again, n),
-        (dff_nominal, 0),
-        "relaxed probes leaked into nominal slots"
-    );
 
     // Clearing drops every entry: the next call solves again, to the
     // same bits.

@@ -20,20 +20,15 @@
 //! environment variable (which also disables the break-even fallback,
 //! for tests that need the parallel path unconditionally).
 //!
-//! # Fallible tasks
-//!
-//! [`par_map_deadline`] runs the same schedule for tasks that may fail:
-//! each item runs under `catch_unwind` individually and ends in one
-//! [`TaskOutcome`], and a limited budget stops the region dispatching
-//! new tasks once its deadline passes or its cancel token fires.
-//!
 //! # Resilient sweeps
 //!
 //! [`resilient::run_resilient`] is the one sweep driver built on
-//! [`par_map_deadline`]: retry and fallback for every point that does
-//! not complete, a labeled terminal state per point, and atomic
-//! checkpoint/resume. The Fig. 20–22 sweeps and the Monte-Carlo yield
-//! runs go through it.
+//! [`par_map`], for points that may fail: each point runs as one
+//! guarded attempt (budget gate, seeded chaos draw, its own
+//! `catch_unwind`), a point that does not complete is retried and then
+//! handed to a fallback, every point ends in a labeled terminal state,
+//! and the completed prefix is checkpointed atomically. The Fig. 20–22
+//! sweeps and the Monte-Carlo yield runs go through it.
 //!
 //! A global permit pool caps the total number of live workers across
 //! nested calls: an outer sweep grabs the available permits and inner
@@ -523,154 +518,6 @@ pub fn lane_groups(start: usize, end: usize, width: usize) -> Vec<std::ops::Rang
     groups
 }
 
-/// A task that panicked inside [`par_map_deadline`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// Index of the input item whose task panicked.
-    pub index: usize,
-    /// The panic message when the payload was a string, or a
-    /// placeholder for non-string payloads.
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Per-item terminal state of a [`par_map_deadline`] region. Every
-/// input item gets exactly one outcome — nothing is silently dropped.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskOutcome<R> {
-    /// The task ran to completion.
-    Completed(R),
-    /// The region's deadline (or a chaos-forced timeout) hit before
-    /// this task started; it was skipped, not run.
-    TimedOut,
-    /// The region's cancel token fired before this task started.
-    Cancelled,
-    /// The task panicked; siblings were unaffected.
-    Panicked(TaskPanic),
-}
-
-fn deadline_one<T, R, F>(
-    items: &[T],
-    i: usize,
-    budget: &sfq_guard::RunBudget,
-    f: &F,
-) -> TaskOutcome<R>
-where
-    F: Fn(&T) -> R,
-{
-    // Dispatch gate: once the deadline passes or the token fires,
-    // every not-yet-started task (including chunks already queued or
-    // stolen) short-circuits here, so the region stops taking on new
-    // work and drains cleanly — in-flight tasks finish, skipped ones
-    // get a labeled outcome instead of vanishing.
-    match budget.check_now() {
-        Some(sfq_guard::BudgetStop::Cancelled) => {
-            sfq_obs::inc("guard.par.cancelled");
-            return TaskOutcome::Cancelled;
-        }
-        Some(_) => {
-            sfq_obs::inc("guard.par.timed_out");
-            return TaskOutcome::TimedOut;
-        }
-        None => {}
-    }
-    // Chaos harness (seed-gated, off = one relaxed load): inject a
-    // forced timeout, a panic or a stall so the recovery paths are
-    // exercised on purpose.
-    let chaos = sfq_guard::chaos::decide(i as u64, 0);
-    if chaos == Some(sfq_guard::chaos::ChaosAction::Timeout) {
-        sfq_obs::inc("guard.par.timed_out");
-        return TaskOutcome::TimedOut;
-    }
-    // A limited budget becomes the task's ambient guard, so transients
-    // it spawns observe the same deadline/cancel state. An unlimited
-    // one installs nothing: the task keeps the caller's ambient budget
-    // (which the pool re-installs in its workers).
-    let limited = (!budget.is_unlimited()).then_some(budget);
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sfq_guard::scope_opt(limited, || {
-            match chaos {
-                Some(sfq_guard::chaos::ChaosAction::Panic) => {
-                    sfq_guard::chaos::injected_panic(i as u64)
-                }
-                Some(sfq_guard::chaos::ChaosAction::Stall(d)) => std::thread::sleep(d),
-                _ => {}
-            }
-            f(&items[i])
-        })
-    }));
-    match caught {
-        Ok(r) => TaskOutcome::Completed(r),
-        Err(payload) => {
-            sfq_obs::inc("par.task_panics");
-            sfq_obs::trace::instant("par", "task panic");
-            TaskOutcome::Panicked(TaskPanic {
-                index: i,
-                message: panic_message(payload),
-            })
-        }
-    }
-}
-
-/// [`par_map`] for tasks that may fail: every item gets a terminal
-/// [`TaskOutcome`] — `Completed`, `TimedOut`, `Cancelled` or
-/// `Panicked` — and nothing is silently dropped.
-///
-/// Each item runs under `catch_unwind` **individually** — chunking
-/// merges tasks for scheduling, never for failure isolation, so a
-/// panicking task yields `Panicked` in its own slot while every other
-/// item of the same chunk completes normally. This is the fan-out
-/// primitive for fault-injection sweeps and design-space exploration,
-/// where one broken probe must not take down the whole region.
-///
-/// The region stops dispatching new tasks once `budget`'s deadline
-/// passes or its cancel token fires, and drains cleanly (in-flight
-/// tasks complete). A limited budget is also installed as the ambient
-/// guard around each task, so solver runs inside observe the same
-/// deadline; an unlimited one leaves the caller's ambient budget in
-/// force.
-///
-/// Determinism caveat: which items time out depends on wall-clock
-/// timing, inherently. With an unlimited budget (and chaos off) the
-/// outcomes depend only on the inputs, never on the schedule.
-///
-/// `f` is wrapped in `AssertUnwindSafe`: it must not leave shared
-/// state logically inconsistent when it panics (the workspace's memos
-/// recover their locks from poisoning, so they are safe). Panics are
-/// still reported through the process panic hook before being caught,
-/// so expect their messages on stderr unless a quiet hook is
-/// installed.
-pub fn par_map_deadline<T, R, F>(
-    items: &[T],
-    budget: &sfq_guard::RunBudget,
-    f: F,
-) -> Vec<TaskOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let idx: Vec<usize> = (0..items.len()).collect();
-    par_map(&idx, |&i| deadline_one(items, i, budget, &f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,27 +620,36 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(par_map(&[7u64], |x| x + 1), vec![8]);
 
-        // A panicking task poisons only its own slot — even when the
-        // chunk size forces multiple tasks into each quantum.
+        // A panicking point fails only itself — even when the chunk
+        // size forces multiple points into each quantum.
         set_threads(4);
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // keep test output quiet
+        let once = resilient::ResilientOpts {
+            retries: 0,
+            ..resilient::ResilientOpts::unguarded()
+        };
         for chunk in [0usize, 1, 4, 32] {
             set_chunk(chunk);
-            let caught = par_map_deadline(&items[..32], &sfq_guard::RunBudget::unlimited(), |x| {
-                assert!(x % 5 != 3, "injected failure at {x}");
-                x * 10
-            });
-            assert_eq!(caught.len(), 32);
-            for (i, r) in caught.into_iter().enumerate() {
+            let eval = |i: usize| {
+                assert!(i % 5 != 3, "injected failure at {i}");
+                items[i] * 10
+            };
+            let report =
+                resilient::run_resilient("chunk_t", 0, 32, &once, eval, None::<fn(usize) -> u64>)
+                    .expect("no checkpoint, no error");
+            assert_eq!(report.points.len(), 32);
+            for p in report.points {
+                let i = p.index;
                 if i % 5 == 3 {
-                    let TaskOutcome::Panicked(e) = r else {
-                        panic!("chunk={chunk}: task {i} must panic");
+                    let resilient::PointState::Failed { message } = &p.state else {
+                        panic!("chunk={chunk}: point {i} must fail, got {:?}", p.state);
                     };
-                    assert_eq!(e.index, i, "chunk={chunk}");
-                    assert!(e.message.contains("injected failure"), "{e}");
+                    assert!(message.contains("injected failure"), "{message}");
+                    assert_eq!(p.value, None, "chunk={chunk}");
                 } else {
-                    assert_eq!(r, TaskOutcome::Completed(items[i] * 10), "chunk={chunk}");
+                    assert_eq!(p.state, resilient::PointState::Completed, "chunk={chunk}");
+                    assert_eq!(p.value, Some(items[i] * 10), "chunk={chunk}");
                 }
             }
         }

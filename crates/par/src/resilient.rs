@@ -6,10 +6,12 @@
 //! the lane groups of a Monte-Carlo yield run alike. [`run_resilient`]
 //! runs that shape under execution guards:
 //!
-//! * the whole sweep shares one [`sfq_guard::RunBudget`]
-//!   (deadline + cancel token); a limited one is installed as the
-//!   ambient guard around every point so transient solves inside
-//!   observe it too, and an unlimited one leaves the caller's;
+//! * every evaluation of a point is one guarded attempt: the sweep's
+//!   [`sfq_guard::RunBudget`] (deadline + cancel token) is checked
+//!   before it starts, the chaos harness draws for `(point, attempt)`,
+//!   a limited budget is installed as the ambient guard so transient
+//!   solves inside observe it (an unlimited one leaves the caller's),
+//!   and the point runs under its own `catch_unwind`;
 //! * a point that panics or times out is retried serially under
 //!   exponential backoff, then degraded to the caller's `fallback`
 //!   (typically the same closed-form evaluation, or a slower but
@@ -22,18 +24,22 @@
 //!   resumes bit-identically: restored values round-trip through the
 //!   same JSON encoding the final report uses.
 //!
+//! Chaos draws are keyed on a point's sweep index, never on its
+//! position in a checkpoint chunk, so a checkpointed or resumed sweep
+//! draws exactly what an unchunked one does.
+//!
 //! With unguarded options (unlimited budget, no checkpoint) the runner
-//! is a single [`par_map_deadline`] dispatch plus per-point
-//! bookkeeping.
+//! is a single [`par_map`] dispatch plus per-point bookkeeping.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
+use sfq_guard::chaos::{self, ChaosAction};
 use sfq_guard::checkpoint::{self, CheckpointError};
-use sfq_guard::{chaos, RunBudget};
+use sfq_guard::{BudgetStop, RunBudget};
 
-use crate::{par_map_deadline, TaskOutcome};
+use crate::par_map;
 
 /// Terminal state of one sweep point after a resilient sweep.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,7 +60,7 @@ pub enum PointState {
     /// The point panicked on every attempt and the fallback (if any)
     /// panicked too.
     Failed {
-        /// Panic message of the last attempt.
+        /// Panic message of the first attempt.
         message: String,
     },
 }
@@ -319,52 +325,96 @@ fn write_prefix<P: Serialize>(
     checkpoint::atomic_write_json(path, &cp).map_err(SweepError::Checkpoint)
 }
 
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// Attempt `k` (0 = the first dispatch) at sweep point `i`. The
+/// budget gate stops a point that has not started once the deadline
+/// passes or the token fires; the chaos draw for `(i, k)` may time the
+/// attempt out, stall it or panic it; a limited budget becomes the
+/// ambient guard for the transients `eval` spawns; and a panic is
+/// caught here, so it fails only this point. `Err` carries the state
+/// the point ends in if nothing rescues it: `Cancelled`, `TimedOut` or
+/// `Failed` with the panic message.
+fn attempt<P>(
+    i: usize,
+    k: u32,
+    budget: &RunBudget,
+    eval: &(impl Fn(usize) -> P + Sync),
+) -> Result<P, PointState> {
+    match budget.check_now() {
+        Some(BudgetStop::Cancelled) => {
+            sfq_obs::inc("guard.par.cancelled");
+            return Err(PointState::Cancelled);
+        }
+        Some(_) => {
+            sfq_obs::inc("guard.par.timed_out");
+            return Err(PointState::TimedOut);
+        }
+        None => {}
+    }
+    let chaos_action = chaos::decide(i as u64, k);
+    if chaos_action == Some(ChaosAction::Timeout) {
+        sfq_obs::inc("guard.par.timed_out");
+        return Err(PointState::TimedOut);
+    }
+    let limited = (!budget.is_unlimited()).then_some(budget);
+    catch_unwind(AssertUnwindSafe(|| {
+        sfq_guard::scope_opt(limited, || {
+            match chaos_action {
+                Some(ChaosAction::Panic) => chaos::injected_panic(i as u64),
+                Some(ChaosAction::Stall(d)) => std::thread::sleep(d),
+                _ => {}
+            }
+            eval(i)
+        })
+    }))
+    .map_err(|payload| {
+        sfq_obs::inc("par.task_panics");
+        sfq_obs::trace::instant("par", "task panic");
+        PointState::Failed {
+            message: panic_message(payload),
+        }
+    })
+}
+
+/// Resolve point `i` after its first attempt ended in `first`
+/// (`TimedOut` or `Failed`): serial retries, then the fallback.
 fn retry_point<P>(
     i: usize,
-    first: TaskOutcome<P>,
+    first: PointState,
     opts: &ResilientOpts,
     eval: &(impl Fn(usize) -> P + Sync),
     fallback: Option<&(impl Fn(usize) -> P + Sync)>,
 ) -> ResolvedPoint<P> {
+    let resolved = |state, value| ResolvedPoint {
+        index: i,
+        state,
+        value,
+    };
     let mut attempts = 0u32;
-    for attempt in 1..=opts.retries {
+    for k in 1..=opts.retries {
         if opts.budget.is_cancelled() {
-            return ResolvedPoint {
-                index: i,
-                state: PointState::Cancelled,
-                value: None,
-            };
+            return resolved(PointState::Cancelled, None);
         }
         // A globally expired deadline makes retries pointless: go
         // straight down the ladder to the fallback.
         if opts.budget.deadline_passed() {
             break;
         }
-        attempts = attempt;
-        sfq_guard::sleep_backoff(attempt);
-        let chaos_action = chaos::decide(i as u64, attempt);
-        if chaos_action == Some(chaos::ChaosAction::Timeout) {
-            continue;
-        }
-        // As in the first dispatch, only a limited budget replaces the
-        // caller's ambient one.
-        let limited = (!opts.budget.is_unlimited()).then_some(&opts.budget);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            sfq_guard::scope_opt(limited, || {
-                match chaos_action {
-                    Some(chaos::ChaosAction::Panic) => chaos::injected_panic(i as u64),
-                    Some(chaos::ChaosAction::Stall(d)) => std::thread::sleep(d),
-                    _ => {}
-                }
-                eval(i)
-            })
-        }));
-        if let Ok(v) = caught {
-            return ResolvedPoint {
-                index: i,
-                state: PointState::Completed,
-                value: Some(v),
-            };
+        attempts = k;
+        sfq_guard::sleep_backoff(k);
+        match attempt(i, k, &opts.budget, eval) {
+            Ok(v) => return resolved(PointState::Completed, Some(v)),
+            Err(PointState::Cancelled) => return resolved(PointState::Cancelled, None),
+            Err(_) => {}
         }
     }
     // Bottom rung: the fallback runs inline, chaos-free and outside
@@ -373,23 +423,10 @@ fn retry_point<P>(
     if let Some(fb) = fallback {
         if let Ok(v) = catch_unwind(AssertUnwindSafe(|| fb(i))) {
             sfq_obs::inc("guard.degraded");
-            return ResolvedPoint {
-                index: i,
-                state: PointState::Degraded { attempts },
-                value: Some(v),
-            };
+            return resolved(PointState::Degraded { attempts }, Some(v));
         }
     }
-    let state = match first {
-        TaskOutcome::Panicked(p) => PointState::Failed { message: p.message },
-        TaskOutcome::Cancelled => PointState::Cancelled,
-        _ => PointState::TimedOut,
-    };
-    ResolvedPoint {
-        index: i,
-        state,
-        value: None,
-    }
+    resolved(first, None)
 }
 
 /// Run `n` sweep points under execution guards; see the module docs
@@ -452,21 +489,22 @@ where
     while resolved.len() < n {
         let start = resolved.len();
         let end = (start + chunk).min(n);
-        let outcomes = par_map_deadline(&indices[start..end], &opts.budget, |&i| eval(i));
-        for (off, outcome) in outcomes.into_iter().enumerate() {
-            let i = start + off;
-            let rp = match outcome {
-                TaskOutcome::Completed(v) => ResolvedPoint {
+        let firsts = par_map(&indices[start..end], |&i| {
+            attempt(i, 0, &opts.budget, &eval)
+        });
+        for (i, first) in (start..end).zip(firsts) {
+            let rp = match first {
+                Ok(v) => ResolvedPoint {
                     index: i,
                     state: PointState::Completed,
                     value: Some(v),
                 },
-                TaskOutcome::Cancelled => ResolvedPoint {
+                Err(PointState::Cancelled) => ResolvedPoint {
                     index: i,
                     state: PointState::Cancelled,
                     value: None,
                 },
-                other => retry_point(i, other, opts, &eval, fallback.as_ref()),
+                Err(state) => retry_point(i, state, opts, &eval, fallback.as_ref()),
             };
             if sfq_obs::enabled() {
                 sfq_obs::inc(match rp.state {

@@ -165,10 +165,13 @@ if [[ $RUN_CHAOS -eq 1 ]]; then
     echo "== chaos smoke gate (--chaos) =="
     # Shrunken robustness run: chaos-injected panics/timeouts/stalls
     # must leave zero lost points (and the chaos seed must inject a
-    # panic and a timeout at all), and a cancelled sweep must resume
-    # bit-identically from its atomic checkpoint. bench_robust itself
-    # exits nonzero on any violated invariant; the emitted report must
-    # re-parse through the bench gate (a self-compare).
+    # panic and a timeout at all). The resume check is deterministic:
+    # a full fig20 checkpoint cut to its first half is resumed under a
+    # pre-cancelled token, which must cancel at least one point, then
+    # resumed clean, which must restore at least one point and
+    # reproduce the uninterrupted sweep byte-for-byte. bench_robust
+    # itself exits nonzero on any violated invariant; the emitted
+    # report must re-parse through the bench gate (a self-compare).
     cargo build --release -p supernpu-bench \
         --bin bench_robust --bin bench_compare --bin bench_faults
     repo="$(pwd)"

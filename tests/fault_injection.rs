@@ -137,18 +137,7 @@ fn interrupted_sweep_resumes_bit_identically() {
     opts.checkpoint_every = 2;
     opts.checkpoint_path = Some(path.clone());
     run_outcomes(cell, sigma, seed, &opts).expect("checkpointed run ok");
-    let text = std::fs::read_to_string(&path).expect("checkpoint written");
-    let mut cp: serde::Value = serde_json::from_str(&text).expect("checkpoint parses");
-    let serde::Value::Object(fields) = &mut cp else {
-        panic!("checkpoint is not an object");
-    };
-    let Some((_, serde::Value::Array(points))) = fields.iter_mut().find(|(k, _)| k == "points")
-    else {
-        panic!("checkpoint has no points");
-    };
-    assert!(points.len() >= 2, "a half needs two points");
-    points.truncate(points.len() / 2);
-    std::fs::write(&path, serde_json::to_string(&cp).expect("serialize")).expect("write");
+    supernpu_bench::cut_to_first_half(&path).expect("cut the checkpoint");
 
     opts.resume = true;
     let resumed = run_outcomes(cell, sigma, seed, &opts).expect("resume ok");

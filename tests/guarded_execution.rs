@@ -12,100 +12,121 @@ use std::time::Duration;
 use jjsim::stdlib::{jtl_chain, AndParams, DffParams, JtlParams};
 use jjsim::{SimError, SimOptions, Solver};
 use proptest::prelude::*;
-use sfq_chars::{GuardPolicy, MeasureSource};
+use sfq_faults::{run_outcomes, Cell, McOptions};
 use sfq_guard::{chaos, CancelToken, RunBudget};
-use sfq_par::resilient::{run_resilient, sweep_identity, ResilientOpts};
-use sfq_par::{par_map_deadline, TaskOutcome};
+use sfq_par::resilient::{run_resilient, sweep_identity, PointState, ResilientOpts, SweepReport};
 
 /// Serialize tests that flip process-global state (the chaos harness,
-/// the panic hook, the worker pool).
+/// the panic hook, the worker pool, the metrics switch) or run the
+/// sweep driver, whose attempts draw from the chaos harness.
 static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn items(n: usize) -> Vec<u64> {
-    (0..n as u64).collect()
+/// Scheduling chunk sizes the dispatch tests sweep: automatic sizing,
+/// one point per quantum, and a few points per quantum.
+const CHUNKS: [usize; 3] = [0, 1, 3];
+
+/// One attempt per point and no fallback, so each point's terminal
+/// state is exactly the outcome of its first attempt.
+fn once(budget: RunBudget) -> ResilientOpts {
+    ResilientOpts {
+        retries: 0,
+        ..ResilientOpts::unguarded().with_budget(budget)
+    }
 }
 
-// ------------------------------------------------- par dispatch
+/// `eval` over `n` points at each of [`CHUNKS`] on two threads (so
+/// pool workers really run points), one report per chunk size.
+fn dispatch<P: serde::Serialize + serde::Deserialize + Send>(
+    n: usize,
+    opts: &ResilientOpts,
+    eval: impl Fn(usize) -> P + Sync,
+) -> Vec<SweepReport<P>> {
+    sfq_par::set_threads(2);
+    let reports = CHUNKS
+        .iter()
+        .map(|&chunk| {
+            sfq_par::set_chunk(chunk);
+            run_resilient("dispatch_t", 1, n, opts, &eval, None::<fn(usize) -> P>)
+                .expect("no checkpoint, no error")
+        })
+        .collect();
+    sfq_par::clear_threads();
+    sfq_par::set_chunk(0);
+    reports
+}
 
-/// With an unlimited budget, `par_map_deadline` is `par_map` with
-/// labels: every task completes and the values match the plain path.
-/// The unlimited budget installs nothing, so every task, on the
-/// caller and on pool workers alike, still sees the caller's ambient
-/// budget.
+// ------------------------------------------------- sweep dispatch
+
+/// With an unlimited budget, the sweep driver's dispatch is `par_map`
+/// with labels: every point completes and the values match the plain
+/// path. The unlimited budget installs nothing, so every point, on
+/// the caller and on pool workers alike, still sees the caller's
+/// ambient budget.
 #[test]
 fn unlimited_deadline_dispatch_matches_par_map() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    let xs = items(64);
-    let plain = sfq_par::par_map(&xs, |&x| x * x);
-    let guarded = par_map_deadline(&xs, &RunBudget::unlimited(), |&x| x * x);
-    assert_eq!(guarded.len(), plain.len());
-    for (g, p) in guarded.into_iter().zip(plain) {
-        match g {
-            TaskOutcome::Completed(v) => assert_eq!(v, p),
-            other => panic!("expected Completed, got {other:?}"),
-        }
+    let plain = sfq_par::par_map(&(0..64).collect::<Vec<usize>>(), |&i| i * i);
+    for report in dispatch(64, &once(RunBudget::unlimited()), |i| i * i) {
+        assert_eq!(report.state_counts(), (64, 0, 0, 0, 0));
+        assert_eq!(report.values(), plain);
     }
 
     let token = CancelToken::new();
     token.cancel();
-    // Two threads and one-item chunks, so pool workers really run tasks.
-    sfq_par::set_threads(2);
-    sfq_par::set_chunk(1);
-    let seen = sfq_guard::scope(&RunBudget::unlimited().with_cancel(token), || {
-        par_map_deadline(&xs, &RunBudget::unlimited(), |_| {
+    let reports = sfq_guard::scope(&RunBudget::unlimited().with_cancel(token), || {
+        dispatch(64, &once(RunBudget::unlimited()), |_| {
             sfq_guard::active().is_some_and(|b| b.is_cancelled())
         })
     });
-    sfq_par::clear_threads();
-    sfq_par::set_chunk(0);
-    for out in seen {
-        assert!(matches!(out, TaskOutcome::Completed(true)), "{out:?}");
+    for report in reports {
+        assert_eq!(report.values(), vec![true; 64]);
     }
 }
 
-/// A pre-cancelled token cancels every task before it runs; an
-/// already-expired deadline times every task out. Both are typed
-/// outcomes, not panics or hangs.
+/// A pre-cancelled token cancels every point before it runs; an
+/// already-expired deadline times every point out. Both are typed
+/// terminal states, not panics or hangs, and neither runs `eval`.
 #[test]
 fn cancel_and_deadline_surface_as_typed_outcomes() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    let xs = items(16);
     let token = CancelToken::new();
     token.cancel();
-    let budget = RunBudget::unlimited().with_cancel(token);
-    for out in par_map_deadline(&xs, &budget, |&x| x) {
-        assert!(matches!(out, TaskOutcome::Cancelled), "{out:?}");
+    let never = |i: usize| -> usize { panic!("point {i} ran past its budget") };
+    for report in dispatch(16, &once(RunBudget::unlimited().with_cancel(token)), never) {
+        assert_eq!(report.state_counts(), (0, 0, 0, 16, 0));
+        assert_eq!(report.lost(), 0, "a budget stop is not a loss");
     }
-
     let expired = RunBudget::unlimited().with_deadline(Duration::ZERO);
-    for out in par_map_deadline(&xs, &expired, |&x| x) {
-        assert!(matches!(out, TaskOutcome::TimedOut), "{out:?}");
+    for report in dispatch(16, &once(expired), never) {
+        assert_eq!(report.state_counts(), (0, 0, 16, 0, 0));
+        assert_eq!(report.lost(), 0, "a budget stop is not a loss");
     }
 }
 
-/// A panicking task is contained as `Panicked` with its message;
-/// neighbours still complete.
+/// A panicking point fails as `Failed` with its message; neighbours
+/// still complete.
 #[test]
 fn panics_are_contained_per_task() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let xs = items(8);
-    let outs = par_map_deadline(&xs, &RunBudget::unlimited(), |&x| {
-        assert!(x != 3, "task three exploded");
-        x
+    let reports = dispatch(8, &once(RunBudget::unlimited()), |i| {
+        assert!(i != 3, "task three exploded");
+        i
     });
     std::panic::set_hook(hook);
-    for (i, out) in outs.into_iter().enumerate() {
-        if i == 3 {
-            match out {
-                TaskOutcome::Panicked(p) => {
-                    assert!(p.message.contains("task three exploded"), "{}", p.message);
-                }
-                other => panic!("expected Panicked, got {other:?}"),
+    for report in reports {
+        assert_eq!(report.lost(), 1);
+        for p in report.points {
+            if p.index == 3 {
+                let PointState::Failed { message } = &p.state else {
+                    panic!("expected Failed, got {:?}", p.state);
+                };
+                assert!(message.contains("task three exploded"), "{message}");
+                assert_eq!(p.value, None);
+            } else {
+                assert_eq!((p.state, p.value), (PointState::Completed, Some(p.index)));
             }
-        } else {
-            assert!(matches!(out, TaskOutcome::Completed(_)), "{out:?}");
         }
     }
 }
@@ -136,77 +157,6 @@ fn solver_surfaces_budget_stops_as_typed_errors() {
     let (circuit, _probes) = jtl_chain(4, &JtlParams::default());
     let solver = Solver::new(circuit, SimOptions::adaptive()).expect("valid circuit");
     solver.try_run(100e-12).expect("unguarded run converges");
-}
-
-// ------------------------------------------------- chars ladder
-
-/// `measure_resilient` with a liberal policy matches the plain
-/// measurement bit-for-bit on the golden path (no degradation).
-#[test]
-fn resilient_measurement_matches_plain_on_golden_path() {
-    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    sfq_chars::clear_measure_cache();
-    let plain = sfq_chars::measure().expect("plain measurement converges");
-    sfq_chars::clear_measure_cache();
-    let guarded = sfq_chars::measure_resilient(
-        &JtlParams::default(),
-        &DffParams::default(),
-        &AndParams::default(),
-        &GuardPolicy::default(),
-    )
-    .expect("guarded measurement converges");
-    assert_eq!(guarded.source, MeasureSource::Transient);
-    assert!(!guarded.is_degraded());
-    assert_eq!(guarded.value, plain, "guards must not perturb the result");
-}
-
-/// A cancelled policy propagates `Cancelled` instead of degrading to
-/// the reference numbers: cancellation means *stop*, not *fake it*.
-#[test]
-fn cancelled_measurement_propagates_instead_of_degrading() {
-    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    sfq_chars::clear_measure_cache();
-    let token = CancelToken::new();
-    token.cancel();
-    let policy = GuardPolicy::default().with_cancel(token);
-    let err = sfq_chars::measure_resilient(
-        &JtlParams::default(),
-        &DffParams::default(),
-        &AndParams::default(),
-        &policy,
-    )
-    .unwrap_err();
-    assert!(err.is_cancelled(), "{err}");
-}
-
-/// An impossible per-attempt deadline exhausts the ladder and lands
-/// on the reference fallback — degraded, labeled, never an error and
-/// never a loss.
-#[test]
-fn exhausted_ladder_degrades_to_reference_measurements() {
-    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    sfq_chars::clear_measure_cache();
-    let policy = GuardPolicy {
-        attempt_timeout: Some(Duration::ZERO),
-        retries: 1,
-        cancel: None,
-    };
-    let guarded = sfq_chars::measure_resilient(
-        &JtlParams::default(),
-        &DffParams::default(),
-        &AndParams::default(),
-        &policy,
-    )
-    .expect("ladder bottoms out at the reference, not an error");
-    assert_eq!(guarded.source, MeasureSource::Fallback);
-    assert!(guarded.is_degraded());
-    let reference = sfq_chars::reference_measurements();
-    assert_eq!(guarded.value, reference);
-    // The failed attempts must not have poisoned the memo cache: a
-    // plain measurement afterwards still reports the transient truth.
-    sfq_chars::clear_measure_cache();
-    let plain = sfq_chars::measure().expect("plain measurement converges");
-    assert_ne!(plain, reference, "transient and reference must differ");
 }
 
 // ------------------------------------------------- chaos harness
@@ -256,6 +206,85 @@ fn chaos_sweep_loses_no_points() {
     // The fallback is the same pure function here, so the values are
     // identical to the clean run regardless of which rung ran.
     assert_eq!(chaotic.values(), clean.values());
+}
+
+/// The chaos guard counters of one 7-point sweep under seed 8.
+fn chaos_counts(opts: &ResilientOpts) -> [u64; 5] {
+    const COUNTERS: [&str; 5] = [
+        "guard.chaos.panic",
+        "guard.chaos.stall",
+        "guard.chaos.timeout",
+        "guard.par.timed_out",
+        "guard.retry",
+    ];
+    let read = || COUNTERS.map(|c| sfq_obs::counter(c).get());
+    let eval = |i: usize| (i as f64).sqrt();
+    let before = read();
+    chaos::set_chaos(Some(8));
+    let report = run_resilient("chunked_chaos_t", 1, 7, opts, eval, Some(eval));
+    chaos::set_chaos(None);
+    let report = report.expect("checkpoint writes");
+    assert_eq!(report.lost(), 0);
+    let after = read();
+    std::array::from_fn(|k| after[k] - before[k])
+}
+
+/// Chaos draws are keyed on the sweep index, not on a point's place
+/// in its checkpoint chunk: a sweep checkpointed every two points
+/// draws exactly the faults and retries of the same sweep unchunked.
+#[test]
+fn checkpoint_chunks_draw_the_unchunked_chaos() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let metrics_were_on = sfq_obs::enabled();
+    sfq_obs::set_enabled(true);
+    let dir = ckpt_dir("chunked_chaos");
+    let unchunked = chaos_counts(&ResilientOpts::unguarded());
+    let chunked =
+        chaos_counts(&ResilientOpts::unguarded().with_checkpoint(dir.join("c.json"), 2, false));
+    sfq_obs::set_enabled(metrics_were_on);
+    std::panic::set_hook(hook);
+    let _ = std::fs::remove_dir_all(&dir);
+    let [panics, _, timeouts, _, retries] = unchunked;
+    assert!(
+        panics > 0 && timeouts > 0 && retries > 0,
+        "seed 8 must inject into 7 points: {unchunked:?}"
+    );
+    assert_eq!(
+        chunked, unchunked,
+        "[panic, stall, timeout, timed_out, retry] counts differ between chunkings"
+    );
+}
+
+/// The Monte-Carlo fallback is chaos-free: a lane group that chaos
+/// panics or times out is redone sample by sample without injection,
+/// so no chaos seed changes a single outcome.
+#[test]
+fn chaos_never_changes_a_monte_carlo_outcome() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let opts = McOptions::new(64);
+    let clean = run_outcomes(Cell::Jtl, 0.1, 1, &opts).expect("harness ok");
+    let chaotic: Vec<_> = (1..=20u64)
+        .map(|seed| {
+            chaos::set_chaos(Some(seed));
+            let out = run_outcomes(Cell::Jtl, 0.1, 1, &opts);
+            chaos::set_chaos(None);
+            (seed, out.expect("harness ok"))
+        })
+        .collect();
+    std::panic::set_hook(hook);
+    for (seed, outcomes) in chaotic {
+        let moved: Vec<usize> = (0..clean.len())
+            .filter(|&s| outcomes[s] != clean[s])
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "chaos seed {seed} moved samples {moved:?}"
+        );
+    }
 }
 
 /// A retried point runs under the caller's ambient budget, like the
@@ -412,6 +441,7 @@ fn killed_sweep_resumes_bit_identically() {
 /// with a typed mismatch instead of being silently grafted on.
 #[test]
 fn foreign_checkpoint_is_rejected() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = ckpt_dir("mismatch");
     let path = dir.join("sweep.json");
     let eval = |i: usize| i as f64;
@@ -433,61 +463,51 @@ fn foreign_checkpoint_is_rejected() {
 }
 
 /// The real fig20 sweep under the resilient runner: unguarded, it
-/// reproduces the plain sweep exactly; killed-and-resumed, it
-/// reproduces it bit-identically through the checkpoint.
+/// reproduces the plain sweep exactly; cut back to half its
+/// checkpoint, resumed under a cancelled token and then resumed clean,
+/// it reproduces it bit-identically through the checkpoint.
 #[test]
 fn fig20_resilient_matches_plain_and_survives_kill() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    sfq_estimator::clear_estimate_cache();
-    sfq_chars::clear_measure_cache();
-    supernpu::clear_result_cache();
+    let fig20 = |opts: &ResilientOpts| {
+        supernpu_bench::clear_caches();
+        supernpu::explore::fig20_buffer_sweep_resilient(opts).expect("fig20 checkpoint")
+    };
+    supernpu_bench::clear_caches();
     let plain = supernpu::explore::fig20_buffer_sweep();
-
-    sfq_estimator::clear_estimate_cache();
-    sfq_chars::clear_measure_cache();
-    let guarded = supernpu::explore::fig20_buffer_sweep_resilient(&ResilientOpts::unguarded())
-        .expect("resilient fig20");
+    let guarded = fig20(&ResilientOpts::unguarded());
     assert_eq!(guarded.lost(), 0);
-    assert_eq!(guarded.clone().values(), plain[1..]);
+    assert_eq!(guarded.values(), plain[1..]);
 
-    // Kill after the first chunk via a pre-cancelled-at-2 token, then
-    // resume and require identity.
+    // A full checkpoint cut to its first half is what a sweep killed
+    // mid-flight leaves behind.
     let dir = ckpt_dir("fig20");
     let path = dir.join("fig20.json");
+    fig20(&ResilientOpts::unguarded().with_checkpoint(path.clone(), 2, false));
+    supernpu_bench::cut_to_first_half(&path).expect("cut the checkpoint");
+
+    // Resuming under a cancelled token restores the half and cancels
+    // the rest: nothing is computed and nothing is lost.
     let token = CancelToken::new();
-    let killed_opts = ResilientOpts::unguarded()
-        .with_budget(RunBudget::unlimited().with_cancel(token.clone()))
-        .with_checkpoint(path.clone(), 2, false);
-    // The sweep owns its eval, so the kill comes from outside: a
-    // watcher thread cancels as soon as the first checkpoint chunk
-    // lands on disk (or after a generous timeout, so the test cannot
-    // hang if checkpointing broke).
-    let watcher = {
-        let token = token.clone();
-        let path = path.clone();
-        std::thread::spawn(move || {
-            for _ in 0..2000 {
-                if path.exists() {
-                    token.cancel();
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            token.cancel();
-        })
-    };
-    sfq_estimator::clear_estimate_cache();
-    sfq_chars::clear_measure_cache();
-    let killed = supernpu::explore::fig20_buffer_sweep_resilient(&killed_opts)
-        .expect("killed fig20 still reports");
-    watcher.join().expect("watcher thread");
+    token.cancel();
+    let killed = fig20(
+        &ResilientOpts::unguarded()
+            .with_budget(RunBudget::unlimited().with_cancel(token))
+            .with_checkpoint(path.clone(), 2, true),
+    );
+    let (_, _, _, cancelled, _) = killed.state_counts();
+    assert!(cancelled > 0, "the cancelled resume must cancel a point");
+    assert!(
+        killed.restored > 0,
+        "the cancelled resume must restore a point"
+    );
     assert_eq!(killed.lost(), 0, "cancelled points are not losses");
 
-    let resume_opts = ResilientOpts::unguarded().with_checkpoint(path.clone(), 2, true);
-    sfq_estimator::clear_estimate_cache();
-    sfq_chars::clear_measure_cache();
-    let resumed =
-        supernpu::explore::fig20_buffer_sweep_resilient(&resume_opts).expect("resumed fig20");
+    let resumed = fig20(&ResilientOpts::unguarded().with_checkpoint(path, 2, true));
+    assert!(
+        resumed.restored > 0,
+        "resume must restore the durable prefix"
+    );
     assert_eq!(
         serde_json::to_string(&resumed.values()).expect("serialize"),
         serde_json::to_string(&plain[1..]).expect("serialize"),
@@ -535,36 +555,35 @@ proptest! {
         prop_assert_eq!(again.values(), baseline.clone().values());
     }
 
-    /// Cancelling a guarded measurement mid-ladder leaves the chars
-    /// memo cache consistent: the next plain measurement from the
-    /// same parameters is bit-identical to one computed on a clean
-    /// cache.
+    /// Cancelling a measurement leaves the chars memo cache
+    /// consistent, wherever the cancel bites: with the JTL, then also
+    /// the DFF, testbenches already memoized by a measurement of other
+    /// parameters, the cancelled run stops at the first cold bench, and
+    /// the next plain measurement is bit-identical to one computed on a
+    /// clean cache.
     #[test]
-    fn cancelled_measure_leaves_cache_consistent(retries in 0u32..3) {
+    fn cancelled_measure_leaves_cache_consistent(warm in 0usize..3) {
         let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         sfq_chars::clear_measure_cache();
         let clean = sfq_chars::measure().expect("clean measurement");
 
         sfq_chars::clear_measure_cache();
+        let (jtl, dff, and) = (JtlParams::default(), DffParams::default(), AndParams::default());
+        let other_dff = DffParams { l_store: dff.l_store * 1.01, ..dff };
+        let other_and = AndParams { l_store: and.l_store * 1.01, ..and };
+        match warm {
+            1 => drop(sfq_chars::measure_with(&jtl, &other_dff, &other_and).expect("warm JTL")),
+            2 => drop(sfq_chars::measure_with(&jtl, &dff, &other_and).expect("warm JTL, DFF")),
+            _ => {}
+        }
         let token = CancelToken::new();
         token.cancel();
-        let policy = GuardPolicy {
-            attempt_timeout: Some(Duration::from_millis(1)),
-            retries,
-            cancel: Some(token),
-        };
-        let err = sfq_chars::measure_resilient(
-            &JtlParams::default(),
-            &DffParams::default(),
-            &AndParams::default(),
-            &policy,
-        )
-        .unwrap_err();
-        prop_assert!(err.is_cancelled());
+        let cancelled = RunBudget::unlimited().with_cancel(token);
+        let err = sfq_guard::scope(&cancelled, sfq_chars::measure).unwrap_err();
+        prop_assert!(err.is_cancelled(), "{}", err);
 
-        // Without clearing: whatever the cancelled attempt cached (at
-        // most a completed nominal entry) must agree with the clean
-        // measurement.
+        // Without clearing: whatever the cancelled run cached must
+        // agree with the clean measurement.
         let after = sfq_chars::measure().expect("measurement after cancel");
         prop_assert_eq!(after, clean);
     }

@@ -1,14 +1,14 @@
 //! Property tests of the granularity-aware scheduler in `sfq-par`:
 //! whatever the chunk size or thread count, `par_map` must return
-//! exactly what a serial loop returns — bit-for-bit — and
-//! `par_map_deadline` must poison exactly the panicking items. The
+//! exactly what a serial loop returns — bit-for-bit — and the sweep
+//! driver `run_resilient` must fail exactly the panicking points. The
 //! scheduler is free to merge tasks into chunks, steal across
 //! workers, or fall back to serial; none of that may be observable in
 //! the output.
 
 use proptest::prelude::*;
-use sfq_guard::RunBudget;
-use sfq_par::{par_map, par_map_deadline, set_chunk, set_threads, TaskOutcome};
+use sfq_par::resilient::{run_resilient, PointState, ResilientOpts};
+use sfq_par::{par_map, set_chunk, set_threads};
 
 /// Serialize the tests: they all reconfigure the process-global
 /// worker pool and chunk override (and one swaps the panic hook).
@@ -58,11 +58,12 @@ proptest! {
     }
 
     /// Panic isolation composes with chunking: a chunk is a scheduling
-    /// unit, not a failure domain. Exactly the injected items come
-    /// back as `Panicked`, carrying their own index, and every other
-    /// item in the same chunk still produces its serial value.
+    /// unit, not a failure domain. With one attempt per point and no
+    /// fallback, exactly the injected points come back `Failed` with
+    /// their own message, and every other point in the same chunk still
+    /// produces its serial value.
     #[test]
-    fn par_map_deadline_poisons_only_the_panicking_tasks(
+    fn run_resilient_fails_only_the_panicking_points(
         n in 0usize..200,
         modulus in 2u64..=9,
         residue in 0u64..9,
@@ -71,34 +72,36 @@ proptest! {
     ) {
         let _guard = GLOBAL.lock().unwrap();
         let _reset = PoolReset;
-        // Panics unwind through the hook before par_map_deadline traps
-        // them; a quiet hook keeps the injected ones off stderr.
+        // Panics unwind through the hook before the driver traps them;
+        // a quiet hook keeps the injected ones off stderr.
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
 
         set_threads(threads);
         set_chunk(chunk);
-        let items: Vec<u64> = (0..n as u64).collect();
-        let out = par_map_deadline(&items, &RunBudget::unlimited(), |&x| {
+        let once = ResilientOpts { retries: 0, ..ResilientOpts::unguarded() };
+        let eval = |i: usize| {
+            let x = i as u64;
             if x % modulus == residue {
                 panic!("injected {x}");
             }
             crunch(x).to_bits()
-        });
+        };
+        let out = run_resilient("chunking_t", 0, n, &once, eval, None::<fn(usize) -> u64>);
 
         std::panic::set_hook(prev_hook);
 
-        prop_assert_eq!(out.len(), n);
-        for (i, slot) in out.iter().enumerate() {
+        let out = out.expect("no checkpoint, no error");
+        prop_assert_eq!(out.points.len(), n);
+        for (i, p) in out.points.iter().enumerate() {
             let x = i as u64;
+            prop_assert_eq!(p.index, i);
             if x % modulus == residue {
-                let TaskOutcome::Panicked(err) = slot else {
-                    panic!("injected panic must surface, got {slot:?}");
-                };
-                prop_assert_eq!(err.index, i);
-                prop_assert_eq!(&err.message, &format!("injected {x}"));
+                prop_assert_eq!(&p.state, &PointState::Failed { message: format!("injected {x}") });
+                prop_assert_eq!(p.value, None);
             } else {
-                prop_assert_eq!(slot, &TaskOutcome::Completed(crunch(x).to_bits()));
+                prop_assert_eq!(&p.state, &PointState::Completed);
+                prop_assert_eq!(p.value, Some(crunch(x).to_bits()));
             }
         }
     }
