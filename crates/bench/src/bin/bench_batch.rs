@@ -9,23 +9,25 @@
 //! the timed runs and the ≥2x floor on the yield workload binds on
 //! every machine, serial CI boxes included.
 //!
-//! The report also carries an `equivalence` section: K = LANES
-//! parameter-perturbed `jtl_chain_40` instances solved batched vs
-//! scalar, recording pulse-count identity and the worst pulse-time
-//! delta in ps. `bench_compare` gates all of it (see
-//! [`supernpu_bench::gate`]).
+//! The run also checks equivalence: K = LANES parameter-perturbed
+//! `jtl_chain_40` instances solved batched vs scalar must give the
+//! same pulse counts and pulse times within 0.5 ps.
+//!
+//! The report gates the yield workload's speed-up as a floor. Its wall
+//! clocks are printed, not gated: over 20 runs on a 2-vCPU host the
+//! best-of-5 batched time spread 2.2× from fastest to slowest run.
 //!
 //! `--smoke` shrinks the workloads for CI: outcome identity and
-//! equivalence are still hard-checked, but the speedup floor is not
-//! recorded (tiny workloads time as noise).
+//! equivalence are still hard-checked, but the speedup floor is
+//! recorded as not measured (tiny workloads time as noise).
 
 use std::time::Instant;
 
 use jjsim::stdlib::{jtl_chain, JtlParams};
 use jjsim::{BatchedTransient, SimOptions, Solver};
-use serde_json::Value;
 use sfq_faults::{run_outcomes, Cell, McOptions, Outcome};
-use supernpu_bench::report::{die, write_report};
+use supernpu_bench::gate::{self, Record};
+use supernpu_bench::report::die;
 
 /// The yield workload must be at least this much faster batched.
 const MIN_SPEEDUP: f64 = 2.0;
@@ -93,7 +95,6 @@ fn bench<T: PartialEq>(
 }
 
 struct Equivalence {
-    k: usize,
     counts_match: bool,
     max_delta_ps: f64,
 }
@@ -145,7 +146,6 @@ fn equivalence(n_stages: usize) -> Equivalence {
         scales.len()
     );
     Equivalence {
-        k: scales.len(),
         counts_match,
         max_delta_ps,
     }
@@ -184,66 +184,35 @@ fn main() {
 
     let eq = equivalence(if smoke { 10 } else { 40 });
 
-    let workloads = [&yield_wl];
-    let rows: Vec<Value> = workloads
-        .iter()
-        .map(|w| {
-            let mut row = vec![
-                ("name".into(), Value::Str(w.name.into())),
-                ("scalar_ms".into(), Value::F64(w.scalar_ms)),
-                ("batched_ms".into(), Value::F64(w.batched_ms)),
-                ("speedup".into(), Value::F64(w.scalar_ms / w.batched_ms)),
-                ("outcomes_identical".into(), Value::Bool(w.identical)),
-            ];
-            if let Some(floor) = w.min_speedup {
-                row.push(("min_speedup".into(), Value::F64(floor)));
-            }
-            Value::Object(row)
-        })
-        .collect();
-    let report = Value::Object(vec![
-        (
-            "schema_version".into(),
-            Value::U64(u64::from(sfq_obs::SCHEMA_VERSION)),
-        ),
-        ("lanes".into(), Value::U64(jjsim::LANES as u64)),
-        ("smoke".into(), Value::Bool(smoke)),
-        ("pulse_tol_ps".into(), Value::F64(PULSE_TOL_PS)),
-        ("batch".into(), Value::Array(rows)),
-        (
-            "equivalence".into(),
-            Value::Object(vec![
-                ("k".into(), Value::U64(eq.k as u64)),
-                ("pulse_counts_match".into(), Value::Bool(eq.counts_match)),
-                ("max_pulse_delta_ps".into(), Value::F64(eq.max_delta_ps)),
-            ]),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&report)
-        .unwrap_or_else(|e| die(format!("report serialization failed: {e}")));
-    if let Err(e) = write_report(&out_path, &json) {
-        die(e);
-    }
-    println!("\nwrote {out_path}");
+    let speedup = yield_wl.scalar_ms / yield_wl.batched_ms;
+    let records = [Record::floor(
+        "yield_200.speedup",
+        yield_wl.min_speedup.map(|_| speedup),
+        MIN_SPEEDUP,
+        if smoke {
+            "smoke run: too small to time"
+        } else {
+            "lanes are SIMD within one core, so the floor binds on every host"
+        },
+    )];
+    gate::write(&out_path, &records).unwrap_or_else(|e| die(e));
 
-    // Self-gate, mirroring what bench_compare enforces: identity and
-    // equivalence always; the speedup floor only on full runs.
+    // Self-gate: identity and equivalence always; the speedup floor
+    // only on full runs.
     let mut failed = false;
-    for w in workloads {
-        if !w.identical {
-            eprintln!("ERROR: {}: batched outcomes differ from scalar", w.name);
-            failed = true;
-        }
-        if let Some(floor) = w.min_speedup {
-            let speedup = w.scalar_ms / w.batched_ms;
-            if speedup < floor {
-                eprintln!(
-                    "ERROR: {}: speedup {speedup:.2}x below required {floor:.2}x",
-                    w.name
-                );
-                failed = true;
-            }
-        }
+    if !yield_wl.identical {
+        eprintln!(
+            "ERROR: {}: batched outcomes differ from scalar",
+            yield_wl.name
+        );
+        failed = true;
+    }
+    if let Some(floor) = yield_wl.min_speedup.filter(|&f| speedup < f) {
+        eprintln!(
+            "ERROR: {}: speedup {speedup:.2}x below required {floor:.2}x",
+            yield_wl.name
+        );
+        failed = true;
     }
     if !eq.counts_match {
         eprintln!("ERROR: equivalence: pulse counts diverge from scalar");

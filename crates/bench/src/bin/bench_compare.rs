@@ -2,49 +2,30 @@
 //! committed baseline and exit nonzero on regression.
 //!
 //! ```text
-//! bench_compare --baseline BENCH_sweeps.json --fresh /tmp/BENCH_sweeps.json \
-//!               [--factor 1.5] [--abs-ms 100]
+//! bench_compare --baseline BENCH_sweeps.json --fresh /tmp/BENCH_sweeps.json
 //! ```
 //!
-//! Defaults can also come from `SUPERNPU_BENCH_FACTOR` and
-//! `SUPERNPU_BENCH_ABS_MS`; explicit flags win. See
+//! Each baseline record carries its own kind and tolerance; see
 //! [`supernpu_bench::gate`] for what is checked.
 
 use std::process::ExitCode;
 
-use supernpu_bench::gate::{compare_json, Tolerances};
+use supernpu_bench::gate::compare_json;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_compare --baseline <committed.json> --fresh <fresh.json> \
-         [--factor <mult>] [--abs-ms <ms>]"
-    );
+    eprintln!("usage: bench_compare --baseline <committed.json> --fresh <fresh.json>");
     std::process::exit(2);
-}
-
-fn env_f64(key: &str) -> Option<f64> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 fn main() -> ExitCode {
     let mut baseline = None;
     let mut fresh = None;
-    let mut tol = Tolerances::default();
-    if let Some(f) = env_f64("SUPERNPU_BENCH_FACTOR") {
-        tol.factor = f;
-    }
-    if let Some(a) = env_f64("SUPERNPU_BENCH_ABS_MS") {
-        tol.abs_ms = a;
-    }
-
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--baseline" => baseline = Some(value()),
             "--fresh" => fresh = Some(value()),
-            "--factor" => tol.factor = value().parse().unwrap_or_else(|_| usage()),
-            "--abs-ms" => tol.abs_ms = value().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
     }
@@ -62,26 +43,20 @@ fn main() -> ExitCode {
     let base_json = read(&baseline);
     let fresh_json = read(&fresh);
 
-    match compare_json(&base_json, &fresh_json, &tol) {
+    match compare_json(&base_json, &fresh_json) {
         Err(e) => {
-            eprintln!("bench_compare: parse error: {e}");
+            eprintln!("bench_compare: {e}");
             ExitCode::from(2)
         }
         Ok(report) => {
             println!(
-                "bench_compare: {baseline} vs {fresh} — {} checks, {} failures, \
-                 {} vacuous (factor {}, abs {} ms)",
+                "bench_compare: {baseline} vs {fresh} — {} checks, {} failures, {} skipped",
                 report.checks,
                 report.failures.len(),
-                report.vacuous.len(),
-                tol.factor,
-                tol.abs_ms
+                report.skipped.len()
             );
             for s in &report.skipped {
                 println!("SKIP: {s}");
-            }
-            for v in &report.vacuous {
-                println!("VACUOUS: {v}");
             }
             if report.passed() {
                 println!("PASS");

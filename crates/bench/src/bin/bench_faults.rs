@@ -25,17 +25,16 @@
 //! | `SUPERNPU_FAULT_CHECKPOINT` | 64 | checkpoint interval in samples (0 disables) |
 //! | `--resume` (argv) | off | continue from checkpoints in `results/faults/` |
 //!
-//! Writes `BENCH_faults.json` and (metrics are force-enabled)
+//! Writes `BENCH_faults.json` (the configuration and every point's
+//! tallies, as gate invariants) and (metrics are force-enabled)
 //! `results/metrics.json`. Exits nonzero if the sweep dies or any
 //! invariant fails.
 
 use std::path::PathBuf;
 
-use serde::Serialize as _;
-use serde_json::Value;
 use sfq_faults::{run_outcomes, yield_curve, Cell, Injection, McOptions, YieldPoint};
-use supernpu_bench::cut_to_first_half;
-use supernpu_bench::report::{die, write_report};
+use supernpu_bench::report::die;
+use supernpu_bench::{cut_to_first_half, gate, yield_curve_records};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -75,22 +74,6 @@ fn point_complaints(p: &YieldPoint, samples: u32) -> Vec<String> {
         ));
     }
     out
-}
-
-fn point_value(p: &YieldPoint) -> Value {
-    Value::Object(vec![
-        ("cell".into(), Value::Str(p.cell.clone())),
-        ("sigma".into(), Value::F64(p.sigma)),
-        ("samples".into(), Value::U64(u64::from(p.samples))),
-        ("pass".into(), Value::U64(u64::from(p.pass))),
-        ("fail".into(), Value::U64(u64::from(p.fail))),
-        (
-            "non_convergent".into(),
-            Value::U64(u64::from(p.non_convergent)),
-        ),
-        ("panicked".into(), Value::U64(u64::from(p.panicked))),
-        ("yield".into(), Value::F64(p.yield_fraction())),
-    ])
 }
 
 /// Interrupted-resume check: reference run, then a checkpointed run
@@ -219,36 +202,8 @@ fn main() {
         }
     }
 
-    let report = Value::Object(vec![
-        (
-            "schema_version".into(),
-            Value::U64(u64::from(sfq_obs::SCHEMA_VERSION)),
-        ),
-        ("seed".into(), Value::U64(seed)),
-        ("samples_per_point".into(), Value::U64(u64::from(samples))),
-        ("retries".into(), Value::U64(u64::from(retries))),
-        (
-            "checkpoint_every".into(),
-            Value::U64(u64::from(checkpoint_every)),
-        ),
-        (
-            "curves".into(),
-            Value::Array(
-                curves
-                    .iter()
-                    .map(|points| Value::Array(points.iter().map(point_value).collect()))
-                    .collect(),
-            ),
-        ),
-        ("resume_identical".into(), Value::Bool(resume_identical)),
-        ("metrics".into(), metrics.serialize()),
-    ]);
-    let json = serde_json::to_string_pretty(&report)
-        .unwrap_or_else(|e| die(format!("report serialization failed: {e}")));
-    if let Err(e) = write_report("BENCH_faults.json", &json) {
-        die(e);
-    }
-    println!("wrote BENCH_faults.json");
+    let records = yield_curve_records(seed, samples, retries, &curves);
+    gate::write("BENCH_faults.json", &records).unwrap_or_else(|e| die(e));
     supernpu_bench::write_metrics();
 
     if !complaints.is_empty() {

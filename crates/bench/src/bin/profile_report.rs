@@ -17,11 +17,15 @@
 //! must explain at least [`MIN_SELF_COVERAGE`] of its inclusive time,
 //! else the solver's `KernelProf` laps have drifted off the hot loops.
 //!
+//! The bench report gates each kernel's call count as an invariant,
+//! the coverage as a floor, and the self-time of the kernels in
+//! [`TIMED_KERNELS`]; the other kernels' self-times spread 2.2–5× from
+//! fastest to slowest over 40 runs on a 2-vCPU host, too wide to gate.
+//!
 //! `--smoke` swaps in a seconds-scale workload (estimator point +
 //! short banded transient), skips the coverage hard-fail (debug-build
-//! frame overhead is not timing-stable), and stamps a zero coverage
-//! floor into the bench report so a self-compare through
-//! `bench_compare` stays green.
+//! frame overhead is not timing-stable), and records the coverage
+//! floor as not measured.
 //!
 //! Before enabling the profiler the binary runs a small transient with
 //! profiling off and fails if any frame was recorded — the disabled
@@ -31,13 +35,20 @@ use std::time::Instant;
 
 use jjsim::stdlib::{jtl_chain, JtlParams};
 use jjsim::{SimOptions, Solver};
-use serde_json::Value;
 use sfq_obs::prof;
+use supernpu_bench::gate::{self, Record};
 use supernpu_bench::report::die;
 
 /// Required fraction of `banded_cell;jjsim.solver.run` inclusive time
-/// explained by profiled descendant self-times (full mode).
-const MIN_SELF_COVERAGE: f64 = 0.9;
+/// explained by profiled descendant self-times (full mode): 0.05 under
+/// the 0.97 the profiler explained when the floor was set (it read
+/// 0.963–0.976 over 40 runs on a 2-vCPU host).
+const MIN_SELF_COVERAGE: f64 = 0.92;
+
+/// The kernels whose self-time is gated, with each one's tolerance:
+/// max/min − 1 of its self-time over 40 runs on a 2-vCPU host,
+/// rounded up to 0.05.
+const TIMED_KERNELS: [(&str, f64); 2] = [("newton", 0.45), ("newton;lu_solve", 0.65)];
 
 fn usage() -> ! {
     eprintln!("usage: profile_report [--smoke] [--out <profile.json>] [--bench-out <BENCH.json>]");
@@ -116,6 +127,7 @@ fn main() {
         "fig20 sweep + stdlib characterization + banded-cell transient"
     };
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+    println!("workload ({workload}): {wall_ms:.1} ms wall");
 
     let report = prof::snapshot();
     println!("\n{}", report.render_top_table());
@@ -140,49 +152,36 @@ fn main() {
         coverage * 100.0
     );
 
-    // Kernel table: every profiled descendant of the banded solver
-    // run, named relative to it ("newton;lu_solve").
+    // Every profiled descendant of the banded solver run, named
+    // relative to it ("newton;lu_solve").
     let prefix = format!("{run_path};");
-    let kernels: Vec<Value> = report
-        .paths
-        .iter()
-        .filter(|p| p.path.starts_with(&prefix))
-        .map(|p| {
-            Value::Object(vec![
-                ("name".into(), Value::Str(p.path[prefix.len()..].into())),
-                ("calls".into(), Value::U64(p.calls)),
-                ("incl_ms".into(), Value::F64(p.incl_ms)),
-                ("self_ms".into(), Value::F64(p.self_ms)),
-                (
-                    "share".into(),
-                    Value::F64(if run.incl_ms > 0.0 {
-                        p.self_ms / run.incl_ms
-                    } else {
-                        0.0
-                    }),
-                ),
-            ])
-        })
-        .collect();
-    let floor = if smoke { 0.0 } else { MIN_SELF_COVERAGE };
-    let bench = Value::Object(vec![
-        (
-            "schema_version".into(),
-            Value::U64(u64::from(sfq_obs::SCHEMA_VERSION)),
-        ),
-        ("workload".into(), Value::Str(workload.into())),
-        ("smoke".into(), Value::Bool(smoke)),
-        ("threads".into(), Value::U64(report.threads)),
-        ("wall_ms".into(), Value::F64(wall_ms)),
-        ("solver_run_incl_ms".into(), Value::F64(run.incl_ms)),
-        ("solver_run_self_ms".into(), Value::F64(run.self_ms)),
-        ("kernel_self_ms".into(), Value::F64(kernel_self_ms)),
-        ("self_coverage".into(), Value::F64(coverage)),
-        ("min_self_coverage".into(), Value::F64(floor)),
-        ("total_self_ms".into(), Value::F64(report.total_self_ms)),
-        ("kernels".into(), Value::Array(kernels)),
-    ]);
-    supernpu_bench::report::write_json_report(&bench_out, &bench).unwrap_or_else(|e| die(e));
+    let mut records = vec![Record::floor(
+        "self_coverage",
+        (!smoke).then_some(coverage),
+        MIN_SELF_COVERAGE,
+        if smoke {
+            "smoke run: debug-build frame overhead is not timing-stable"
+        } else {
+            "profiled kernel self-time must explain the banded solver run"
+        },
+    )];
+    for p in report.paths.iter().filter(|p| p.path.starts_with(&prefix)) {
+        let kernel = &p.path[prefix.len()..];
+        records.push(Record::invariant(
+            format!("{kernel}.calls"),
+            p.calls,
+            "deterministic: the same transient calls each kernel as often",
+        ));
+        if let Some((_, tolerance)) = TIMED_KERNELS.iter().find(|(k, _)| *k == kernel) {
+            records.push(Record::timing(
+                format!("{kernel}.self_ms"),
+                p.self_ms,
+                *tolerance,
+                "max/min - 1 of the self-time over 40 runs on a 2-vCPU host, rounded up to 0.05",
+            ));
+        }
+    }
+    gate::write(&bench_out, &records).unwrap_or_else(|e| die(e));
 
     // JSON + collapsed-stack exports (path set above or via env).
     match prof::flush() {

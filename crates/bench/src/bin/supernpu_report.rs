@@ -3,13 +3,12 @@
 //! `results/report.html`.
 //!
 //! ```text
-//! supernpu_report [--ledger results/ledger] [--out results] \
-//!                 [--bench-dir .] [--factor 1.5] [--abs-ms 100]
+//! supernpu_report [--ledger results/ledger] [--out results] [--bench-dir .]
 //! ```
 //!
 //! Runs are joined by (bin, config fingerprint); rows whose duration
-//! exceeds the previous run's by more than the bench-gate tolerance
-//! are flagged with the literal `REGRESSION` marker
+//! exceeds the previous run's × 1.5 + 100 ms are flagged with the
+//! literal `REGRESSION` marker
 //! (`scripts/check.sh --report` greps for it). Exit is 0 even with
 //! regressions present — this bin *reports*, the gate script decides.
 //! Malformed ledger lines or baselines exit nonzero: a ledger that
@@ -22,15 +21,11 @@
 use std::path::PathBuf;
 
 use serde::Value;
-use supernpu_bench::gate::Tolerances;
 use supernpu_bench::observatory::{build, load_ledger, BenchFile};
 use supernpu_bench::report::{die, write_report};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: supernpu_report [--ledger <dir>] [--out <dir>] [--bench-dir <dir>] \
-         [--factor <mult>] [--abs-ms <ms>]"
-    );
+    eprintln!("usage: supernpu_report [--ledger <dir>] [--out <dir>] [--bench-dir <dir>]");
     std::process::exit(2);
 }
 
@@ -41,7 +36,6 @@ fn main() {
         sfq_obs::ledger::dir().unwrap_or_else(|| PathBuf::from(sfq_obs::ledger::DEFAULT_DIR));
     let mut out_dir = PathBuf::from("results");
     let mut bench_dir = PathBuf::from(".");
-    let mut tol = Tolerances::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -50,8 +44,6 @@ fn main() {
             "--ledger" => ledger_dir = PathBuf::from(value()),
             "--out" => out_dir = PathBuf::from(value()),
             "--bench-dir" => bench_dir = PathBuf::from(value()),
-            "--factor" => tol.factor = value().parse().unwrap_or_else(|_| usage()),
-            "--abs-ms" => tol.abs_ms = value().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
     }
@@ -83,10 +75,13 @@ fn main() {
             Ok(v) => v,
             Err(e) => die(format!("{}: malformed baseline: {e}", path.display())),
         };
-        bench.push(BenchFile::from_value(&name, &value));
+        match BenchFile::from_value(&name, &value) {
+            Ok(file) => bench.push(file),
+            Err(e) => die(format!("{}: {e}", path.display())),
+        }
     }
 
-    let report = build(&runs, &bench, &tol);
+    let report = build(&runs, &bench);
     let md_path = out_dir.join("report.md");
     let html_path = out_dir.join("report.html");
     if let Err(e) = write_report(&md_path, &report.markdown) {

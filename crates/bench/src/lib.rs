@@ -65,6 +65,42 @@ pub fn cut_to_first_half(path: &std::path::Path) -> Result<(), String> {
     sfq_guard::checkpoint::atomic_write_json(path, &cp).map_err(|e| e.to_string())
 }
 
+/// `bench_faults`' report: its curve configuration, then the outcome
+/// tallies of every yield point, all invariants. One function, so the
+/// binary and the test that holds the committed `BENCH_faults.json` to
+/// a fresh run name the records alike.
+#[must_use]
+pub fn yield_curve_records(
+    seed: u64,
+    samples: u32,
+    retries: u32,
+    curves: &[Vec<sfq_faults::YieldPoint>],
+) -> Vec<gate::Record> {
+    use gate::Record;
+    const CONFIG: &str = "the curve configuration the tallies were drawn under";
+    const TALLY: &str = "deterministic: one seed draws every sample";
+    let mut records = vec![
+        Record::invariant("seed", seed, CONFIG),
+        Record::invariant("samples_per_point", u64::from(samples), CONFIG),
+        Record::invariant("retries", u64::from(retries), CONFIG),
+    ];
+    for p in curves.iter().flatten() {
+        for (outcome, count) in [
+            ("pass", p.pass),
+            ("fail", p.fail),
+            ("non_convergent", p.non_convergent),
+            ("panicked", p.panicked),
+        ] {
+            records.push(Record::invariant(
+                format!("{}.sigma_{}.{outcome}", p.cell, p.sigma),
+                u64::from(count),
+                TALLY,
+            ));
+        }
+    }
+    records
+}
+
 /// Write `results/metrics.json` from the live [`sfq_obs`] registry.
 /// No-op unless metrics are enabled (`SUPERNPU_METRICS=1`), so the
 /// experiment binaries can call this unconditionally at the end of

@@ -9,14 +9,15 @@
 //!
 //! * per-benchmark trend tables (duration, Δ vs previous run, cache
 //!   hit rate, outcome) and a sparkline of the duration history;
-//! * regression flags reusing the bench gate's [`Tolerances`]
-//!   (`fresh > prev × factor + abs_ms` ⇒ the literal `REGRESSION`
+//! * regression flags (`fresh > prev × 1.5 + 100 ms`, the
+//!   [`TREND_FACTOR`] / [`TREND_ABS_MS`] rule ⇒ the literal `REGRESSION`
 //!   marker `scripts/check.sh --report` greps for);
 //! * a cross-run knob-diff: for consecutive runs of the same bin,
 //!   which `SUPERNPU_*` knobs appeared, vanished or changed — the
 //!   "what changed between these two runs" answer;
-//! * an inventory of the committed `BENCH_*.json` baselines with
-//!   their detected schema and declared `schema_version`.
+//! * an inventory of the committed `BENCH_*.json` baselines: every
+//!   record with its kind, value and how far the gate lets a fresh
+//!   value move, as a percentage of the baseline.
 //!
 //! **Fingerprint rule**: FNV-1a over the name-sorted `SUPERNPU_*`
 //! knobs minus the observability-only ones ([`sfq_obs::KNOBS`] as
@@ -34,28 +35,36 @@ use std::path::Path;
 use serde::Value;
 use sfq_obs::ledger::{RunManifest, RunOutcome};
 
-use crate::gate::Tolerances;
+use crate::gate::Record;
+
+/// A run is flagged `REGRESSION` when its duration exceeds the
+/// previous run's × this factor + [`TREND_ABS_MS`].
+pub const TREND_FACTOR: f64 = 1.5;
+
+/// Additive slack of the trend rule, in milliseconds: run durations
+/// include process start-up, so tiny runs need an absolute margin.
+pub const TREND_ABS_MS: f64 = 100.0;
 
 /// One committed `BENCH_*.json` baseline, inventoried in the report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
     /// File name (e.g. `BENCH_solver.json`).
     pub name: String,
-    /// Detected schema ([`crate::gate::schema_of`]).
-    pub schema: String,
-    /// Declared `schema_version` (0 = pre-versioned).
-    pub schema_version: u64,
+    /// The baseline's gated records.
+    pub records: Vec<Record>,
 }
 
 impl BenchFile {
     /// Inventory a parsed baseline under its file name.
-    #[must_use]
-    pub fn from_value(name: &str, v: &Value) -> BenchFile {
-        BenchFile {
+    ///
+    /// # Errors
+    ///
+    /// The value is not a bench report ([`crate::gate::parse`]).
+    pub fn from_value(name: &str, v: &Value) -> Result<BenchFile, String> {
+        Ok(BenchFile {
             name: name.to_owned(),
-            schema: crate::gate::schema_of(v).to_owned(),
-            schema_version: crate::gate::schema_version_of(v),
-        }
+            records: crate::gate::parse(v)?,
+        })
     }
 }
 
@@ -172,7 +181,7 @@ struct Group<'a> {
     rows: Vec<Row<'a>>,
 }
 
-fn group_runs<'a>(runs: &'a [RunManifest], tol: &Tolerances) -> Vec<Group<'a>> {
+fn group_runs(runs: &[RunManifest]) -> Vec<Group<'_>> {
     let mut keyed: Vec<(&str, u64, Vec<&RunManifest>)> = Vec::new();
     for m in runs {
         let fp = fingerprint(m);
@@ -201,9 +210,9 @@ fn group_runs<'a>(runs: &'a [RunManifest], tol: &Tolerances) -> Vec<Group<'a>> {
                             0.0
                         }
                     });
-                    // Same rule as the bench gate's timing check.
-                    let regressed = prev
-                        .is_some_and(|p| m.duration_ms > p.duration_ms * tol.factor + tol.abs_ms);
+                    let regressed = prev.is_some_and(|p| {
+                        m.duration_ms > p.duration_ms * TREND_FACTOR + TREND_ABS_MS
+                    });
                     Row {
                         run: m,
                         delta_pct,
@@ -278,8 +287,8 @@ pub fn html_escape(s: &str) -> String {
 /// Build the observatory report from parsed manifests and baseline
 /// inventories. Pure: output depends only on the arguments.
 #[must_use]
-pub fn build(runs: &[RunManifest], bench: &[BenchFile], tol: &Tolerances) -> Report {
-    let groups = group_runs(runs, tol);
+pub fn build(runs: &[RunManifest], bench: &[BenchFile]) -> Report {
+    let groups = group_runs(runs);
     let regressions = groups
         .iter()
         .flat_map(|g| g.rows.iter())
@@ -422,20 +431,28 @@ pub fn build(runs: &[RunManifest], bench: &[BenchFile], tol: &Tolerances) -> Rep
         md.push_str("_none found_\n");
         html_body.push_str("<p><em>none found</em></p>\n");
     } else {
-        md.push_str("| file | schema | schema_version |\n|---|---|---:|\n");
-        html_body
-            .push_str("<table>\n<tr><th>file</th><th>schema</th><th>schema_version</th></tr>\n");
+        md.push_str("| file | record | kind | value | allowed change |\n|---|---|---|---:|---:|\n");
+        html_body.push_str(
+            "<table>\n<tr><th>file</th><th>record</th><th>kind</th><th>value</th>\
+             <th>allowed change</th></tr>\n",
+        );
         for b in bench {
-            md.push_str(&format!(
-                "| {} | {} | {} |\n",
-                b.name, b.schema, b.schema_version
-            ));
-            html_body.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-                html_escape(&b.name),
-                html_escape(&b.schema),
-                b.schema_version
-            ));
+            for r in &b.records {
+                let value = r.value.map_or("—".to_owned(), |v| format!("{v}"));
+                let cells = [
+                    b.name.as_str(),
+                    &r.name,
+                    r.kind.label(),
+                    &value,
+                    &r.allowed_change(),
+                ];
+                md.push_str(&format!("| {} |\n", cells.join(" | ")));
+                html_body.push_str("<tr>");
+                for c in cells {
+                    html_body.push_str(&format!("<td>{}</td>", html_escape(c)));
+                }
+                html_body.push_str("</tr>\n");
+            }
         }
     }
 
@@ -508,17 +525,13 @@ mod tests {
     }
 
     #[test]
-    fn regression_flag_follows_gate_tolerances() {
-        let tol = Tolerances {
-            factor: 1.5,
-            abs_ms: 1.0,
-        };
+    fn regression_flag_follows_the_trend_rule() {
         let runs = vec![
             manifest("fig20", 1, 100.0, 4),
-            manifest("fig20", 2, 120.0, 4), // within 1.5x + 1ms
-            manifest("fig20", 3, 400.0, 4), // 400 > 120*1.5+1 → regression
+            manifest("fig20", 2, 250.0, 4), // exactly 100 × 1.5 + 100 ms
+            manifest("fig20", 3, 476.0, 4), // 476 > 250 × 1.5 + 100 → regression
         ];
-        let report = build(&runs, &[], &tol);
+        let report = build(&runs, &[]);
         assert_eq!(report.groups, 1);
         assert_eq!(report.regressions, 1);
         assert!(report.markdown.contains("REGRESSION"));
@@ -548,11 +561,22 @@ mod tests {
         let runs = vec![manifest("a", 1, 5.0, 4), manifest("a", 2, 6.0, 4)];
         let bench = vec![BenchFile {
             name: "BENCH_solver.json".into(),
-            schema: "cells".into(),
-            schema_version: 1,
+            records: vec![Record::timing(
+                "jtl_chain_8.adaptive_ms",
+                0.8,
+                0.45,
+                "spread",
+            )],
         }];
-        let tol = Tolerances::default();
-        assert_eq!(build(&runs, &bench, &tol), build(&runs, &bench, &tol));
+        let report = build(&runs, &bench);
+        assert_eq!(report, build(&runs, &bench));
+        assert!(
+            report
+                .markdown
+                .contains("| BENCH_solver.json | jtl_chain_8.adaptive_ms | timing | 0.8 | +45% |"),
+            "{}",
+            report.markdown
+        );
     }
 
     #[test]

@@ -154,53 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_run_resumes_bit_identically() {
-        let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let dir = std::env::temp_dir().join("sfq_faults_test_ckpt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("jtl.checkpoint.json");
-
-        // Reference: uninterrupted run, no checkpointing.
-        let reference = run_outcomes(Cell::Jtl, 0.12, 99, &McOptions::new(9)).expect("harness ok");
-
-        // Checkpointed run produces the same outcomes and leaves a file.
-        let mut opts = McOptions::new(9);
-        opts.checkpoint_every = 4;
-        opts.checkpoint_path = Some(path.clone());
-        let full = run_outcomes(Cell::Jtl, 0.12, 99, &opts).expect("harness ok");
-        assert_eq!(full, reference);
-        assert!(path.is_file(), "checkpoint persisted");
-
-        // Emulate a kill between chunks: keep only the first half of
-        // the persisted groups, then resume. The resumed run must
-        // reconstruct the remaining samples bit-identically.
-        cut_to_first_half(&path);
-        opts.resume = true;
-        let resumed = run_outcomes(Cell::Jtl, 0.12, 99, &opts).expect("resume ok");
-        assert_eq!(resumed, reference, "resumed run must be bit-identical");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Test helper: truncate a real checkpoint's `points` to their
-    /// first half, as a run killed mid-sweep leaves it.
-    fn cut_to_first_half(path: &std::path::Path) {
-        let mut cp: serde::Value = sfq_guard::checkpoint::load_json(path)
-            .expect("checkpoint parses")
-            .expect("checkpoint exists");
-        let serde::Value::Object(fields) = &mut cp else {
-            panic!("checkpoint is not an object");
-        };
-        let Some((_, serde::Value::Array(points))) = fields.iter_mut().find(|(k, _)| k == "points")
-        else {
-            panic!("checkpoint has no points");
-        };
-        assert!(points.len() >= 2, "a half needs two points");
-        points.truncate(points.len() / 2);
-        sfq_guard::checkpoint::atomic_write_json(path, &cp).expect("write checkpoint");
-    }
-
-    #[test]
     fn mismatched_checkpoint_is_a_typed_error() {
         let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("sfq_faults_test_mismatch");

@@ -57,10 +57,11 @@ pub enum PointState {
     TimedOut,
     /// The sweep was cooperatively cancelled before the point ran.
     Cancelled,
-    /// The point panicked on every attempt and the fallback (if any)
-    /// panicked too.
+    /// Every attempt failed and the fallback (if any) panicked too.
+    /// Under an unlimited budget a chaos timeout fails an attempt like
+    /// a panic, since no budget stopped it.
     Failed {
-        /// Panic message of the first attempt.
+        /// Message of the last attempt's failure.
         message: String,
     },
 }
@@ -342,7 +343,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ambient guard for the transients `eval` spawns; and a panic is
 /// caught here, so it fails only this point. `Err` carries the state
 /// the point ends in if nothing rescues it: `Cancelled`, `TimedOut` or
-/// `Failed` with the panic message.
+/// `Failed` with the panic message. `TimedOut` is a budget stop, so a
+/// chaos timeout under an unlimited budget is `Failed` instead.
 fn attempt<P>(
     i: usize,
     k: u32,
@@ -363,7 +365,13 @@ fn attempt<P>(
     let chaos_action = chaos::decide(i as u64, k);
     if chaos_action == Some(ChaosAction::Timeout) {
         sfq_obs::inc("guard.par.timed_out");
-        return Err(PointState::TimedOut);
+        return Err(if budget.is_unlimited() {
+            PointState::Failed {
+                message: format!("chaos: injected timeout in task {i}"),
+            }
+        } else {
+            PointState::TimedOut
+        });
     }
     let limited = (!budget.is_unlimited()).then_some(budget);
     catch_unwind(AssertUnwindSafe(|| {
@@ -386,7 +394,8 @@ fn attempt<P>(
 }
 
 /// Resolve point `i` after its first attempt ended in `first`
-/// (`TimedOut` or `Failed`): serial retries, then the fallback.
+/// (`TimedOut` or `Failed`): serial retries, then the fallback. A point
+/// nothing rescues ends in its last attempt's state.
 fn retry_point<P>(
     i: usize,
     first: PointState,
@@ -400,6 +409,7 @@ fn retry_point<P>(
         value,
     };
     let mut attempts = 0u32;
+    let mut last = first;
     for k in 1..=opts.retries {
         if opts.budget.is_cancelled() {
             return resolved(PointState::Cancelled, None);
@@ -414,7 +424,7 @@ fn retry_point<P>(
         match attempt(i, k, &opts.budget, eval) {
             Ok(v) => return resolved(PointState::Completed, Some(v)),
             Err(PointState::Cancelled) => return resolved(PointState::Cancelled, None),
-            Err(_) => {}
+            Err(state) => last = state,
         }
     }
     // Bottom rung: the fallback runs inline, chaos-free and outside
@@ -426,7 +436,7 @@ fn retry_point<P>(
             return resolved(PointState::Degraded { attempts }, Some(v));
         }
     }
-    resolved(first, None)
+    resolved(last, None)
 }
 
 /// Run `n` sweep points under execution guards; see the module docs

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 
 # Opt-in extras: --bench reruns the solver/sweep benches in a scratch
 # directory and diffs them against the committed BENCH_*.json
-# baselines with bench_compare (fails on wall-clock or correctness
-# regression). --chaos runs the robustness smoke gates: the resilient
+# baselines with bench_compare (fails on a moved count, a timing past
+# its tolerance or a floor missed). --chaos runs the robustness smoke gates: the resilient
 # sweep runner under deterministic fault injection (zero lost points,
 # bit-identical kill/resume) and the Monte-Carlo yield harness
 # (injected failures tallied and visible, bit-identical resume).
@@ -71,6 +71,15 @@ echo "== cargo test -q -p supernpu-bench --test artifact_outputs =="
 # FNV-1a digests, the written results/*.csv and results/report.md
 # against the committed files, and one ledger manifest per run_all.
 cargo test -q -p supernpu-bench --test artifact_outputs
+
+echo "== committed bench baselines =="
+# Every committed BENCH_*.json must parse as a bench report and pass
+# the gate against itself: no benchmark runs, so this takes seconds.
+# It catches a baseline the gate cannot read and a timing tolerance
+# that admits twice its baseline.
+for baseline in BENCH_*.json; do
+    target/release/bench_compare --baseline "$baseline" --fresh "$baseline" >/dev/null
+done
 
 echo "== profiling smoke gate =="
 # Tiny profiled workload: the collapsed-stack export must be non-empty
@@ -181,8 +190,11 @@ if [[ $RUN_CHAOS -eq 1 ]]; then
     # Monte-Carlo yield curves under injected failures, at the default
     # configuration: bench_faults exits nonzero on a tally that misses
     # a sample, injected failures missing from the metrics, or a
-    # resume from a cut checkpoint that is not bit-identical.
+    # resume from a cut checkpoint that is not bit-identical; every
+    # tally must equal the committed baseline's.
     (cd "$tmp" && "$repo/target/release/bench_faults" >/dev/null)
+    target/release/bench_compare \
+        --baseline BENCH_faults.json --fresh "$tmp/BENCH_faults.json" >/dev/null
 fi
 
 if [[ $RUN_REPORT -eq 1 ]]; then
@@ -250,17 +262,21 @@ if [[ $RUN_BENCH -eq 1 ]]; then
     (cd "$tmp" && "$repo/target/release/bench_solver" >/dev/null)
     # --points adds the granularity stress sweep: 1e5 synthetic design
     # points over a thread ladder. bench_sweeps itself hard-fails if
-    # any rung's output diverges from serial or its speedup misses
+    # any rung's output diverges from serial or, where its two-thread
+    # spin probe shows two threads running at once, its speedup misses
     # 0.8x the effective core count; bench_compare re-checks the
-    # recorded rungs against the committed baseline.
-    (cd "$tmp" && "$repo/target/release/bench_sweeps" --points 100000 >/dev/null)
+    # recorded floors against the committed baseline.
+    # The probe line, each speed-up and each rung floor are echoed, so
+    # a red run shows what the host's two threads delivered.
+    (cd "$tmp" && "$repo/target/release/bench_sweeps" --points 100000 \
+        | grep -E 'probe|speedup|floors')
     target/release/bench_compare \
         --baseline BENCH_solver.json --fresh "$tmp/BENCH_solver.json"
     target/release/bench_compare \
         --baseline BENCH_sweeps.json --fresh "$tmp/BENCH_sweeps.json"
-    # Full profiled workload: enforces the >=90% solver-kernel
-    # self-time coverage floor and diffs kernel self-times against the
-    # committed baseline.
+    # Full profiled workload: enforces the >=92% solver-kernel
+    # self-time coverage floor; bench_compare holds kernel call counts
+    # and the gated kernel self-times to the committed baseline.
     target/release/profile_report \
         --out "$tmp/profile_full.json" --bench-out "$tmp/BENCH_profile.json" >/dev/null
     target/release/bench_compare \

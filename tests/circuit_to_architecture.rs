@@ -2,7 +2,10 @@
 //! and the analytic stack must tell one consistent story.
 
 use jjsim::extract::{jtl_characteristics, max_shift_frequency};
-use jjsim::stdlib::{DffParams, JtlParams};
+use jjsim::stdlib::{
+    clocked_and, dff, jtl_chain, shift_register, splitter, AndParams, DffParams, JtlParams,
+};
+use jjsim::{BatchedTransient, Circuit, ElementId, SimOptions, SimResult, Solver};
 use sfq_cells::{CellLibrary, GateKind};
 use sfq_estimator::clocking::feedback_comparison;
 use sfq_estimator::{estimate, NpuConfig};
@@ -84,4 +87,90 @@ fn feedback_halves_frequency() {
     let f = feedback_comparison(&CellLibrary::aist_10um());
     assert!(f.fa_feedback_ghz < 0.5 * f.fa_feedforward_ghz);
     assert!(f.sr_feedback_ghz < 0.65 * f.sr_feedforward_ghz);
+}
+
+/// Same pulse count at every probe, and each pulse within 0.5 ps.
+fn assert_same_pulses(what: &str, reference: &SimResult, other: &SimResult, probes: &[ElementId]) {
+    for &jj in probes {
+        let (r, o) = (reference.pulse_times(jj), other.pulse_times(jj));
+        assert_eq!(r.len(), o.len(), "{what}: pulse count");
+        for (tr, to) in r.iter().zip(o) {
+            assert!(
+                (tr - to).abs() <= 0.5e-12,
+                "{what}: pulse moved {tr:e} -> {to:e}"
+            );
+        }
+    }
+}
+
+/// `bench_solver`'s testbenches: the adaptive stepper keeps every
+/// fixed-step pulse, on the five stdlib cells and on the 40-stage JTL
+/// that runs the banded LU.
+#[test]
+fn adaptive_stepping_keeps_the_bench_solver_pulses() {
+    let (jtl, dff_p, and_p) = (
+        JtlParams::default(),
+        DffParams::default(),
+        AndParams::default(),
+    );
+    let clocks = [100e-12, 140e-12, 180e-12];
+    let (jtl8, jtl8_probes) = jtl_chain(8, &jtl);
+    let (split, s) = splitter(&jtl);
+    let (d, dp) = dff(&[60e-12], &[100e-12], &dff_p);
+    let (and, ap) = clocked_and(&[60e-12], &[60e-12], &[100e-12], &and_p);
+    let (sr, srp) = shift_register(3, 60e-12, &clocks, 0.0, &dff_p);
+    let (jtl40, jtl40_probes) = jtl_chain(40, &jtl);
+    let benches: [(&str, Circuit, Vec<ElementId>, f64); 6] = [
+        ("jtl_chain_8", jtl8, jtl8_probes, 380e-12),
+        ("splitter", split, vec![s.input, s.out_a, s.out_b], 140e-12),
+        ("dff", d, vec![dp.input, dp.output], 170e-12),
+        (
+            "clocked_and",
+            and,
+            vec![ap.store_a, ap.store_b, ap.output],
+            170e-12,
+        ),
+        ("shift_register_3", sr, srp.stage_outputs, 240e-12),
+        ("jtl_chain_40", jtl40, jtl40_probes, 400e-12),
+    ];
+    for (name, circuit, probes, t_end) in benches {
+        let run = |opts: SimOptions| {
+            Solver::new(circuit.clone(), opts)
+                .expect("valid circuit")
+                .try_run(t_end)
+                .expect("transient converges")
+        };
+        let fixed = run(SimOptions::default());
+        assert_same_pulses(name, &fixed, &run(SimOptions::adaptive()), &probes);
+    }
+}
+
+/// `bench_batch`'s equivalence check: four 40-stage JTLs with critical
+/// currents scaled by 1.0, 0.97, 1.03 and 1.06, solved as one lane
+/// batch, keep every pulse of their one-lane runs.
+#[test]
+fn lane_batches_keep_the_scalar_pulses() {
+    let built: Vec<_> = [1.0, 0.97, 1.03, 1.06]
+        .iter()
+        .map(|s| {
+            let mut p = JtlParams::default();
+            p.ic *= s;
+            jtl_chain(40, &p)
+        })
+        .collect();
+    let opts = SimOptions::adaptive();
+    let circuits = built.iter().map(|(c, _)| c.clone()).collect();
+    jjsim::set_batch_width(Some(jjsim::LANES));
+    let batched = BatchedTransient::new(circuits, opts.clone())
+        .expect("the instances share one topology")
+        .try_run(200e-12);
+    jjsim::set_batch_width(None);
+    for (k, ((circuit, probes), b)) in built.iter().zip(batched).enumerate() {
+        let scalar = Solver::new(circuit.clone(), opts.clone())
+            .expect("valid circuit")
+            .try_run(200e-12)
+            .expect("scalar run converges");
+        let b = b.expect("batched run converges");
+        assert_same_pulses(&format!("instance {k}"), &scalar, &b, probes);
+    }
 }

@@ -3,7 +3,7 @@
 //! system power budget — everything beyond the paper's own figures.
 
 use dnn_models::{zoo, zoo_ext};
-use sfq_npu_sim::{analyze_stalls, trace_layer, AccessKind, SimConfig};
+use sfq_npu_sim::{analyze_stalls, simulate_layer, trace_layer, AccessKind, SimConfig};
 use supernpu::ablations::all_ablations;
 use supernpu::sensitivity::{bandwidth_sweep, process_sweep};
 
@@ -70,20 +70,48 @@ fn transformer_is_memory_bound() {
     assert_eq!(r.dominant(), "memory bandwidth");
 }
 
-/// The trace and the aggregate simulator agree on DRAM weight bytes.
+/// The trace and the aggregate simulator agree on every zoo layer, on
+/// both paper designs, at batch 1 and 3: DRAM weight bytes, prep cycles
+/// (weight loads, ifmap shifts and psum moves) and compute cycles
+/// (ifmap streaming). Their totals still differ by the memory stalls
+/// the trace does not model.
 #[test]
 fn trace_matches_simulator_accounting() {
-    let cfg = SimConfig::paper_supernpu();
-    let net = zoo::googlenet();
-    for layer in net.layers().iter().take(8) {
-        let t = trace_layer(&cfg, layer, 3);
-        assert_eq!(
-            t.bytes_of(AccessKind::Dram),
-            layer.weight_bytes(),
-            "{}",
-            layer.name()
-        );
+    let mut cases = 0;
+    for cfg in [SimConfig::paper_baseline(), SimConfig::paper_supernpu()] {
+        for net in zoo::all() {
+            for layer in net.layers() {
+                for batch in [1, 3] {
+                    let t = trace_layer(&cfg, layer, batch);
+                    let sim = simulate_layer(&cfg, layer, batch, true);
+                    let prep = [
+                        AccessKind::WeightLoad,
+                        AccessKind::IfmapShift,
+                        AccessKind::PsumMove,
+                    ]
+                    .map(|k| t.cycles_of(k))
+                    .iter()
+                    .sum::<u64>();
+                    let at = || format!("{} {} batch {batch}", cfg.npu.name, layer.name());
+                    assert_eq!(
+                        t.bytes_of(AccessKind::Dram),
+                        layer.weight_bytes(),
+                        "{}",
+                        at()
+                    );
+                    assert_eq!(prep, sim.prep_cycles, "prep cycles, {}", at());
+                    assert_eq!(
+                        t.cycles_of(AccessKind::IfmapStream),
+                        sim.compute_cycles,
+                        "compute cycles, {}",
+                        at()
+                    );
+                    cases += 1;
+                }
+            }
+        }
     }
+    assert_eq!(cases, 736, "184 zoo layers x 2 designs x 2 batches");
 }
 
 /// Margin analysis reports healthy cells.

@@ -119,29 +119,51 @@ fn injected_failures_are_contained() {
     }
 }
 
+/// `bench_batch`'s yield workload (JTL, σ 0.08, seed 42, 200 samples)
+/// gives every sample the same outcome on one lane as on
+/// `jjsim::LANES` lanes.
+#[test]
+fn lane_batched_yield_matches_the_scalar_outcomes() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let opts = McOptions::new(200);
+    let at = |width| {
+        jjsim::set_batch_width(Some(width));
+        run_outcomes(Cell::Jtl, 0.08, 42, &opts).expect("harness ok")
+    };
+    let (scalar, batched) = (at(1), at(jjsim::LANES));
+    jjsim::set_batch_width(None);
+    assert_eq!(scalar, batched);
+}
+
 /// Interrupted-sweep recovery: cut a real checkpoint back to the
 /// first half of its points (as an interrupted checkpointed run leaves
 /// it), resume, and require the full outcome vector to be
-/// bit-identical to an uninterrupted run.
+/// bit-identical to an uninterrupted run — on two cells, sample counts
+/// and checkpoint cadences.
 #[test]
 fn interrupted_sweep_resumes_bit_identically() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("supernpu_fault_injection_resume");
-    let _ = std::fs::remove_dir_all(&dir);
-    let path = dir.join("ckpt.json");
+    for (cell, sigma, seed, samples, every) in [
+        (Cell::ClockedAnd, 0.1f64, 7u64, 8u32, 2u32),
+        (Cell::Jtl, 0.12, 99, 9, 4),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("ckpt.json");
+        let reference =
+            run_outcomes(cell, sigma, seed, &McOptions::new(samples)).expect("harness ok");
 
-    let (cell, sigma, seed) = (Cell::ClockedAnd, 0.1f64, 7u64);
-    let reference = run_outcomes(cell, sigma, seed, &McOptions::new(8)).expect("harness ok");
+        let mut opts = McOptions::new(samples);
+        opts.checkpoint_every = every;
+        opts.checkpoint_path = Some(path.clone());
+        let full = run_outcomes(cell, sigma, seed, &opts).expect("checkpointed run ok");
+        assert_eq!(full, reference, "checkpointing must not change any outcome");
+        supernpu_bench::cut_to_first_half(&path).expect("cut the checkpoint");
 
-    let mut opts = McOptions::new(8);
-    opts.checkpoint_every = 2;
-    opts.checkpoint_path = Some(path.clone());
-    run_outcomes(cell, sigma, seed, &opts).expect("checkpointed run ok");
-    supernpu_bench::cut_to_first_half(&path).expect("cut the checkpoint");
-
-    opts.resume = true;
-    let resumed = run_outcomes(cell, sigma, seed, &opts).expect("resume ok");
-    assert_eq!(resumed, reference, "resume must not change any outcome");
+        opts.resume = true;
+        let resumed = run_outcomes(cell, sigma, seed, &opts).expect("resume ok");
+        assert_eq!(resumed, reference, "resume must not change any outcome");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -186,31 +208,21 @@ fn torn_checkpoint_write_never_corrupts_resume() {
 }
 
 /// The committed `BENCH_faults.json` yield curves are reproduced
-/// exactly: `bench_faults`'s curve configuration (seed 42, 200 samples
+/// exactly: `bench_faults`' curve configuration (seed 42, 200 samples
 /// per point, one retry, a panic injected at sample 3 and a
 /// non-convergence at sample 7) rerun over its σ grid for every cell
-/// must give the same tally at every point. This covers the batched
-/// lane groups, the injected groups and the lone retried samples.
+/// must pass the bench gate against the committed report, every tally
+/// an invariant. This covers the batched lane groups, the injected
+/// groups and the lone retried samples.
 #[test]
 fn bench_faults_yield_curves_match_the_committed_baseline() {
-    #[derive(serde::Deserialize)]
-    struct Baseline {
-        seed: u64,
-        samples_per_point: u32,
-        retries: u32,
-        curves: Vec<Vec<YieldPoint>>,
-    }
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_faults.json");
     let text = std::fs::read_to_string(path).expect("BENCH_faults.json is committed");
-    let baseline: Baseline = serde_json::from_str(&text).expect("BENCH_faults.json parses");
-    let (seed, samples, retries) = (42, 200, 1);
-    assert_eq!(
-        (baseline.seed, baseline.samples_per_point, baseline.retries),
-        (seed, samples, retries),
-        "the baseline was recorded with a different curve configuration"
-    );
+    let baseline = supernpu_bench::gate::parse(&serde_json::from_str(&text).expect("JSON"))
+        .expect("BENCH_faults.json is a bench report");
 
+    let (seed, samples, retries) = (42, 200, 1);
     let mut opts = McOptions::new(samples);
     opts.retries = retries;
     opts.injection = Injection {
@@ -226,5 +238,8 @@ fn bench_faults_yield_curves_match_the_committed_baseline() {
         .collect();
     std::panic::set_hook(hook);
     let curves = curves.expect("harness survives injected failures");
-    assert_eq!(curves, baseline.curves);
+    let fresh = supernpu_bench::yield_curve_records(seed, samples, retries, &curves);
+    let report = supernpu_bench::gate::compare(&baseline, &fresh);
+    assert!(report.passed(), "{:#?}", report.failures);
+    assert_eq!(report.checks, fresh.len(), "every fresh tally is gated");
 }

@@ -131,6 +131,44 @@ fn panics_are_contained_per_task() {
     }
 }
 
+/// Under an unlimited budget, a point that no attempt evaluates and no
+/// fallback rescues ends `Failed` with its last attempt's message, so
+/// it counts as lost: nothing timed it out. Under chaos seed 332 point
+/// 1 draws a timeout, then two panics.
+#[test]
+fn unbudgeted_point_without_a_value_ends_failed() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let draws: Vec<_> = (0..=sfq_guard::DEFAULT_RETRIES)
+        .map(|k| chaos::decide_seeded(332, 1, k))
+        .collect();
+    use sfq_guard::chaos::ChaosAction::{Panic, Timeout};
+    assert_eq!(draws, [Some(Timeout), Some(Panic), Some(Panic)]);
+
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    chaos::set_chaos(Some(332));
+    let report = run_resilient(
+        "unbudgeted_t",
+        1,
+        2,
+        &ResilientOpts::unguarded(),
+        |i| i,
+        None::<fn(usize) -> usize>,
+    );
+    chaos::set_chaos(None);
+    std::panic::set_hook(hook);
+
+    let report = report.expect("no checkpoint, no error");
+    assert_eq!(report.state_counts(), (0, 0, 0, 0, 2));
+    assert_eq!(report.lost(), 2);
+    assert_eq!(
+        report.points[1].state,
+        PointState::Failed {
+            message: "chaos: injected panic in task 1".into()
+        }
+    );
+}
+
 // ------------------------------------------------- solver budget
 
 /// The transient solver observes the ambient budget and surfaces the
@@ -206,6 +244,26 @@ fn chaos_sweep_loses_no_points() {
     // The fallback is the same pure function here, so the values are
     // identical to the clean run regardless of which rung ran.
     assert_eq!(chaotic.values(), clean.values());
+
+    // `bench_robust`'s chaos run: under seed 8 the real Fig. 20 and
+    // Fig. 21 sweeps lose no point either.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    chaos::set_chaos(Some(8));
+    supernpu_bench::clear_caches();
+    let fig20 = supernpu::explore::fig20_buffer_sweep_resilient(&opts);
+    supernpu_bench::clear_caches();
+    let fig21 = supernpu::explore::fig21_resource_sweep_resilient(&opts);
+    chaos::set_chaos(None);
+    std::panic::set_hook(hook);
+    let (fig20, fig21) = (fig20.expect("no checkpoint"), fig21.expect("no checkpoint"));
+    assert_eq!(
+        (fig20.lost(), fig21.lost()),
+        (0, 0),
+        "chaos lost a sweep point"
+    );
+    assert_eq!(fig20.state_counts(), (7, 0, 0, 0, 0));
+    assert_eq!(fig21.state_counts(), (5, 0, 0, 0, 0));
 }
 
 /// The chaos guard counters of one 7-point sweep under seed 8.

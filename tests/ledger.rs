@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use sfq_obs::ledger::{self, KnobSetting, RunManifest, RunOutcome};
-use supernpu_bench::gate::Tolerances;
+use supernpu_bench::gate::Record;
 use supernpu_bench::observatory::{build, load_ledger, BenchFile};
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -208,15 +208,10 @@ fn observatory_output_is_thread_invariant_and_flags_regressions() {
     ];
     let bench = vec![BenchFile {
         name: "BENCH_sweeps.json".into(),
-        schema: "sweeps".into(),
-        schema_version: u64::from(sfq_obs::SCHEMA_VERSION),
+        records: vec![Record::floor("fig20.speedup", Some(1.2), 1.0, "floor")],
     }];
-    let tol = Tolerances {
-        factor: 1.5,
-        abs_ms: 100.0,
-    };
 
-    let reference = build(&runs, &bench, &tol);
+    let reference = build(&runs, &bench);
     assert_eq!(reference.groups, 1, "same config joins into one trend");
     assert_eq!(reference.regressions, 1);
     assert!(reference.markdown.contains("REGRESSION"));
@@ -225,7 +220,7 @@ fn observatory_output_is_thread_invariant_and_flags_regressions() {
 
     for threads in [1, 2, 7] {
         sfq_par::set_threads(threads);
-        let again = build(&runs, &bench, &tol);
+        let again = build(&runs, &bench);
         assert_eq!(
             again, reference,
             "observatory output changed at {threads} threads"
